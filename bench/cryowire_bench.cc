@@ -6,10 +6,121 @@
  * exit on a miss). See `cryowire_bench --help`.
  */
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iostream>
+#include <string>
+#include <vector>
+
 #include "exp/runner.hh"
+#include "util/cli.hh"
+#include "util/diag.hh"
+#include "util/table.hh"
+#include "util/thread_pool.hh"
+
+namespace
+{
+
+using namespace cryo;
+using namespace cryo::exp;
+
+void
+printList(const std::vector<const Experiment *> &selection)
+{
+    Table t({"name", "tags", "title"});
+    for (const Experiment *e : selection) {
+        std::string tags;
+        for (const std::string &tag : e->tags) {
+            if (!tags.empty())
+                tags += ',';
+            tags += tag;
+        }
+        t.addRow({e->name, tags, e->title});
+    }
+    t.print();
+    std::printf("%zu experiment(s)\n", selection.size());
+}
+
+int
+run(const RunOptions &opts)
+{
+    const Registry &registry = Registry::builtins();
+    const std::vector<const Experiment *> selection =
+        registry.match(opts.filters);
+    if (selection.empty()) {
+        std::fprintf(stderr,
+                     "cryowire_bench: no experiment matches the "
+                     "filter; try --list\n");
+        return 2;
+    }
+    if (opts.list) {
+        printList(selection);
+        return 0;
+    }
+
+    const std::vector<RunRecord> records =
+        runExperiments(registry, opts);
+
+    if (!opts.quiet) {
+        for (const RunRecord &rec : records)
+            std::fputs(renderText(rec).c_str(), stdout);
+        std::fputs("\n", stdout);
+    }
+
+    try {
+        if (!opts.jsonPath.empty()) {
+            std::ofstream out{opts.jsonPath};
+            fatalIf(!out.is_open(),
+                    "cannot open JSON output file: " + opts.jsonPath);
+            writeJson(out, records, opts.seed);
+        }
+        if (!opts.csvDir.empty()) {
+            for (const RunRecord &rec : records)
+                writeCsv(opts.csvDir, rec);
+        }
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
+
+    const std::size_t failed = renderAnchorSummary(std::cout, records);
+    return failed == 0 ? 0 : 1;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
-    return cryo::exp::runMain(argc, argv);
+    RunOptions opts;
+    const cli::Spec spec{
+        "cryowire_bench",
+        "usage: cryowire_bench [options]\n"
+        "\n"
+        "Run the registered figure/table experiments and gate their paper\n"
+        "anchors. Exit 0 = every anchor within tolerance, 1 = anchor miss\n"
+        "or failed experiment, 2 = usage error.\n",
+        {
+            cli::toggle("--list", &opts.list,
+                        "print the selected experiments and exit"),
+            cli::list("--filter", "F", &opts.filters,
+                      "select by tag or name glob")
+                .defaultsTo("all experiments"),
+            cli::text("--json", "PATH", &opts.jsonPath,
+                      "write the machine-readable results JSON"),
+            cli::text("--csv", "DIR", &opts.csvDir,
+                      "write per-experiment CSVs into DIR"),
+            cli::number("--seed", "N", &opts.seed, 0, UINT64_MAX,
+                        "base seed for stochastic simulations"),
+            cli::number("--jobs", "N", &opts.jobs, 1, ThreadPool::kMaxJobs,
+                        "experiments run concurrently; results are\n"
+                        "byte-identical at any job count"),
+            cli::number("--watchdog", "S", &opts.watchdogSeconds, 0.0, 1e6,
+                        "flag experiments still running after S seconds "
+                        "on stderr; 0 disables"),
+            cli::toggle("--quiet", &opts.quiet,
+                        "suppress the per-experiment text report"),
+        }};
+    return cli::runDriver(spec, argc, argv, [&] { return run(opts); });
 }

@@ -23,10 +23,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -38,47 +38,19 @@
 
 #include "svc/client.hh"
 #include "svc/protocol.hh"
+#include "util/cli.hh"
 #include "util/diag.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
 #include "util/socket.hh"
 #include "util/stats.hh"
+#include "util/thread_pool.hh"
 
 namespace
 {
 
 using namespace cryo;
 using namespace cryo::svc;
-
-constexpr const char *kUsage =
-    "usage: cryowire_loadgen --socket PATH [options]\n"
-    "\n"
-    "Drive cryowire_serve with an open-loop request stream and report\n"
-    "client-observed latency percentiles (cryowire-bench/1 JSON).\n"
-    "\n"
-    "options:\n"
-    "  --socket PATH      daemon socket to connect to\n"
-    "  --pattern P        steady | bursty | diurnal (default steady)\n"
-    "  --rate R           mean offered load [requests/s] (default 20)\n"
-    "  --duration-ms D    run length (default 2000)\n"
-    "  --connections C    parallel client connections (default 2)\n"
-    "  --distinct K       distinct design points in the pool\n"
-    "                     (default 8; duplicates exercise the cache)\n"
-    "  --invalid-share F  fraction of requests sent malformed\n"
-    "                     (default 0; they earn \"error\" replies)\n"
-    "  --seed S           RNG seed for point/invalid choices\n"
-    "  --connect-retries N  extra connect attempts with exponential\n"
-    "                     backoff (default 10; rides out daemon\n"
-    "                     startup ordering)\n"
-    "  --connect-backoff-ms M  first connect retry wait (default 50)\n"
-    "  --verify           check every ok reply's metrics are byte-\n"
-    "                     identical to direct evaluation (mismatches\n"
-    "                     fail the run)\n"
-    "  --json FILE        write the cryowire-bench/1 report\n"
-    "  --shutdown-after   send {\"op\":\"shutdown\"} when done\n"
-    "  --quiet            suppress the summary line\n"
-    "\n"
-    "exit status: 0 = every request got exactly one reply, 1 = not.\n";
 
 struct CliOptions
 {
@@ -97,149 +69,6 @@ struct CliOptions
     bool shutdownAfter = false;
     bool quiet = false;
 };
-
-bool
-parseArgs(int argc, const char *const *argv, CliOptions &cli,
-          bool &help)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fputs(("cryowire_loadgen: " + std::string(flag) +
-                            " needs a value\n")
-                               .c_str(),
-                           stderr);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            help = true;
-            return true;
-        } else if (arg == "--socket") {
-            const char *v = next("--socket");
-            if (v == nullptr)
-                return false;
-            cli.socket = v;
-        } else if (arg == "--pattern") {
-            const char *v = next("--pattern");
-            if (v == nullptr)
-                return false;
-            cli.pattern = v;
-            if (cli.pattern != "steady" && cli.pattern != "bursty" &&
-                cli.pattern != "diurnal") {
-                std::fputs("cryowire_loadgen: --pattern wants steady, "
-                           "bursty or diurnal\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--rate") {
-            const char *v = next("--rate");
-            if (v == nullptr)
-                return false;
-            cli.rate = std::atof(v);
-            if (!(cli.rate > 0.0)) {
-                std::fputs("cryowire_loadgen: --rate must be > 0\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--duration-ms") {
-            const char *v = next("--duration-ms");
-            if (v == nullptr)
-                return false;
-            cli.durationMs = std::atol(v);
-            if (cli.durationMs < 1) {
-                std::fputs(
-                    "cryowire_loadgen: --duration-ms must be >= 1\n",
-                    stderr);
-                return false;
-            }
-        } else if (arg == "--connections") {
-            const char *v = next("--connections");
-            if (v == nullptr)
-                return false;
-            cli.connections = std::atoi(v);
-            if (cli.connections < 1) {
-                std::fputs(
-                    "cryowire_loadgen: --connections must be >= 1\n",
-                    stderr);
-                return false;
-            }
-        } else if (arg == "--distinct") {
-            const char *v = next("--distinct");
-            if (v == nullptr)
-                return false;
-            cli.distinct = std::atoi(v);
-            if (cli.distinct < 1) {
-                std::fputs(
-                    "cryowire_loadgen: --distinct must be >= 1\n",
-                    stderr);
-                return false;
-            }
-        } else if (arg == "--invalid-share") {
-            const char *v = next("--invalid-share");
-            if (v == nullptr)
-                return false;
-            cli.invalidShare = std::atof(v);
-            if (cli.invalidShare < 0.0 || cli.invalidShare > 1.0) {
-                std::fputs("cryowire_loadgen: --invalid-share wants "
-                           "[0, 1]\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--seed") {
-            const char *v = next("--seed");
-            if (v == nullptr)
-                return false;
-            cli.seed = static_cast<std::uint64_t>(std::atoll(v));
-        } else if (arg == "--connect-retries") {
-            const char *v = next("--connect-retries");
-            if (v == nullptr)
-                return false;
-            cli.connectRetries = std::atoi(v);
-            if (cli.connectRetries < 0) {
-                std::fputs("cryowire_loadgen: --connect-retries must "
-                           "be >= 0\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--connect-backoff-ms") {
-            const char *v = next("--connect-backoff-ms");
-            if (v == nullptr)
-                return false;
-            cli.connectBackoffMs = std::atol(v);
-            if (cli.connectBackoffMs < 1) {
-                std::fputs("cryowire_loadgen: --connect-backoff-ms "
-                           "must be >= 1\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--verify") {
-            cli.verify = true;
-        } else if (arg == "--json") {
-            const char *v = next("--json");
-            if (v == nullptr)
-                return false;
-            cli.json = v;
-        } else if (arg == "--shutdown-after") {
-            cli.shutdownAfter = true;
-        } else if (arg == "--quiet") {
-            cli.quiet = true;
-        } else {
-            std::fputs(("cryowire_loadgen: unknown option \"" + arg +
-                        "\"\n")
-                           .c_str(),
-                       stderr);
-            return false;
-        }
-    }
-    if (cli.socket.empty() && !help) {
-        std::fputs("cryowire_loadgen: need --socket\n", stderr);
-        return false;
-    }
-    return true;
-}
 
 /** Instantaneous offered rate [req/s] at offset @p tS into the run. */
 double
@@ -613,23 +442,55 @@ run(const CliOptions &cli)
 int
 main(int argc, char **argv)
 {
-    CliOptions cli;
-    bool help = false;
-    if (!parseArgs(argc, argv, cli, help)) {
-        std::fputs(kUsage, stderr);
-        return 2;
-    }
-    if (help) {
-        std::fputs(kUsage, stdout);
-        return 0;
-    }
-    try {
-        return run(cli);
-    } catch (const FatalError &e) {
-        std::fputs(
-            ("cryowire_loadgen: " + std::string(e.what()) + "\n")
-                .c_str(),
-            stderr);
-        return 1;
-    }
+    CliOptions opts;
+    const cli::Spec spec{
+        "cryowire_loadgen",
+        "usage: cryowire_loadgen --socket PATH [options]\n"
+        "\n"
+        "Drive cryowire_serve with an open-loop request stream and report\n"
+        "client-observed latency percentiles (cryowire-bench/1 JSON).\n"
+        "\n"
+        "exit status: 0 = every request got exactly one reply, 1 = not,\n"
+        "2 = usage error.\n",
+        {
+            cli::text("--socket", "PATH", &opts.socket,
+                      "daemon socket to connect to"),
+            cli::choice("--pattern", "P", &opts.pattern,
+                        {"steady", "bursty", "diurnal"},
+                        "arrival pattern"),
+            cli::number("--rate", "R", &opts.rate, 1e-3, 1e6,
+                        "mean offered load [requests/s]"),
+            cli::number("--duration-ms", "D", &opts.durationMs, 1, INT_MAX,
+                        "run length"),
+            cli::number("--connections", "C", &opts.connections, 1,
+                        ThreadPool::kMaxJobs,
+                        "parallel client connections"),
+            cli::number("--distinct", "K", &opts.distinct, 1, INT_MAX,
+                        "distinct design points in the pool "
+                        "(duplicates exercise the cache)"),
+            cli::number("--invalid-share", "F", &opts.invalidShare, 0.0,
+                        1.0,
+                        "fraction of requests sent malformed (they "
+                        "earn \"error\" replies)"),
+            cli::number("--seed", "S", &opts.seed, 0, UINT64_MAX,
+                        "RNG seed for point/invalid choices"),
+            cli::number("--connect-retries", "N", &opts.connectRetries, 0,
+                        INT_MAX,
+                        "extra connect attempts with exponential\n"
+                        "backoff (rides out daemon startup ordering)"),
+            cli::number("--connect-backoff-ms", "M", &opts.connectBackoffMs,
+                        1, INT_MAX, "first connect retry wait"),
+            cli::toggle("--verify", &opts.verify,
+                        "check every ok reply's metrics are byte-\n"
+                        "identical to direct evaluation (mismatches\n"
+                        "fail the run)"),
+            cli::text("--json", "FILE", &opts.json,
+                      "write the cryowire-bench/1 report"),
+            cli::toggle("--shutdown-after", &opts.shutdownAfter,
+                        "send {\"op\":\"shutdown\"} when done"),
+            cli::toggle("--quiet", &opts.quiet,
+                        "suppress the summary line"),
+        },
+        [&] { fatalIf(opts.socket.empty(), "need --socket"); }};
+    return cli::runDriver(spec, argc, argv, [&] { return run(opts); });
 }

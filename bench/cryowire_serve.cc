@@ -10,21 +10,19 @@
  * DESIGN.md section 4g for the protocol.
  */
 
-#include <atomic>
-#include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 
-#include "svc/protocol.hh"
 #include "svc/server.hh"
+#include "util/cli.hh"
 #include "util/diag.hh"
 #include "util/failpoint.hh"
-#include "util/socket.hh"
+#include "util/json.hh"
+#include "util/thread_pool.hh"
 
 namespace
 {
@@ -32,45 +30,12 @@ namespace
 using namespace cryo;
 using namespace cryo::svc;
 
-constexpr const char *kUsage =
-    "usage: cryowire_serve --socket PATH [options]\n"
-    "       cryowire_serve --smoke\n"
-    "\n"
-    "Serve design-point evaluations over a unix socket. One JSON\n"
-    "request per line, one JSON reply per request (see DESIGN.md\n"
-    "section 4g for the schema). Runs until SIGINT/SIGTERM or a\n"
-    "client sends {\"op\":\"shutdown\"}.\n"
-    "\n"
-    "options:\n"
-    "  --socket PATH          unix socket to listen on\n"
-    "  --cache FILE           hash-keyed result cache (JSONL); an\n"
-    "                         unwritable file degrades to read-only\n"
-    "  --require-writable-cache\n"
-    "                         refuse to start instead of degrading\n"
-    "  --jobs N               grow the eval thread pool to N workers\n"
-    "  --initial-concurrency N  admission limit at start (default 4)\n"
-    "  --min-concurrency N    admission limit floor (default 1)\n"
-    "  --max-concurrency N    admission limit ceiling (default 256)\n"
-    "  --max-queue N          queued requests before shedding\n"
-    "                         (default 64)\n"
-    "  --probe-window-ms N    admission probe window (default 100)\n"
-    "  --cache-fsync          fsync the cache after every stored\n"
-    "                         record (power-loss durability; slower)\n"
-    "  --drain-deadline-ms N  shutdown drain budget before warning\n"
-    "                         (default 5000)\n"
-    "  --failpoint L          arm failpoints: \"site=spec;...\" (see\n"
-    "                         util/failpoint.hh for the grammar)\n"
-    "  --stats-json FILE      write the final stats snapshot on exit\n"
-    "  --quiet                suppress the shutdown summary\n"
-    "  --smoke                run the built-in self-check\n"
-    "\n"
-    "exit status: 0 = success, 1 = failure, 2 = usage error.\n";
-
 struct CliOptions
 {
     ServerConfig server;
     std::string statsJson;
-    bool smoke = false;
+    bool requireWritableCache = false;
+    std::int64_t probeWindowMs = server.admission.probeWindowUs / 1000;
     bool quiet = false;
 };
 
@@ -80,132 +45,6 @@ void
 onSignal(int)
 {
     g_signalled = 1;
-}
-
-bool
-parseArgs(int argc, const char *const *argv, CliOptions &cli,
-          bool &help)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fputs(("cryowire_serve: " + std::string(flag) +
-                            " needs a value\n")
-                               .c_str(),
-                           stderr);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const auto nextSize = [&](const char *flag,
-                                  std::size_t *out) -> bool {
-            const char *v = next(flag);
-            if (v == nullptr)
-                return false;
-            const int n = std::atoi(v);
-            if (n < 1) {
-                std::fputs(("cryowire_serve: " + std::string(flag) +
-                            " must be >= 1\n")
-                               .c_str(),
-                           stderr);
-                return false;
-            }
-            *out = static_cast<std::size_t>(n);
-            return true;
-        };
-        if (arg == "--help" || arg == "-h") {
-            help = true;
-            return true;
-        } else if (arg == "--socket") {
-            const char *v = next("--socket");
-            if (v == nullptr)
-                return false;
-            cli.server.socketPath = v;
-        } else if (arg == "--cache") {
-            const char *v = next("--cache");
-            if (v == nullptr)
-                return false;
-            cli.server.cachePath = v;
-        } else if (arg == "--require-writable-cache") {
-            cli.server.tolerateReadOnlyCache = false;
-        } else if (arg == "--jobs") {
-            const char *v = next("--jobs");
-            if (v == nullptr)
-                return false;
-            cli.server.evalThreads = std::atoi(v);
-            if (cli.server.evalThreads < 1) {
-                std::fputs("cryowire_serve: --jobs must be >= 1\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--initial-concurrency") {
-            if (!nextSize("--initial-concurrency",
-                          &cli.server.admission.initialConcurrency))
-                return false;
-        } else if (arg == "--min-concurrency") {
-            if (!nextSize("--min-concurrency",
-                          &cli.server.admission.minConcurrency))
-                return false;
-        } else if (arg == "--max-concurrency") {
-            if (!nextSize("--max-concurrency",
-                          &cli.server.admission.maxConcurrency))
-                return false;
-        } else if (arg == "--max-queue") {
-            std::size_t n = 0;
-            if (!nextSize("--max-queue", &n))
-                return false;
-            cli.server.admission.maxQueue = n;
-        } else if (arg == "--probe-window-ms") {
-            std::size_t ms = 0;
-            if (!nextSize("--probe-window-ms", &ms))
-                return false;
-            cli.server.admission.probeWindowUs =
-                static_cast<std::int64_t>(ms) * 1000;
-        } else if (arg == "--cache-fsync") {
-            cli.server.fsyncCache = true;
-        } else if (arg == "--drain-deadline-ms") {
-            std::size_t ms = 0;
-            if (!nextSize("--drain-deadline-ms", &ms))
-                return false;
-            cli.server.drainDeadlineMs =
-                static_cast<std::int64_t>(ms);
-        } else if (arg == "--failpoint") {
-            const char *v = next("--failpoint");
-            if (v == nullptr)
-                return false;
-            try {
-                failpoint::armFromList(v);
-            } catch (const FatalError &e) {
-                std::fputs(("cryowire_serve: " +
-                            std::string(e.what()) + "\n")
-                               .c_str(),
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--stats-json") {
-            const char *v = next("--stats-json");
-            if (v == nullptr)
-                return false;
-            cli.statsJson = v;
-        } else if (arg == "--smoke") {
-            cli.smoke = true;
-        } else if (arg == "--quiet") {
-            cli.quiet = true;
-        } else {
-            std::fputs(("cryowire_serve: unknown option \"" + arg +
-                        "\"\n")
-                           .c_str(),
-                       stderr);
-            return false;
-        }
-    }
-    if (!cli.smoke && cli.server.socketPath.empty()) {
-        std::fputs("cryowire_serve: need --socket or --smoke\n",
-                   stderr);
-        return false;
-    }
-    return true;
 }
 
 void
@@ -261,134 +100,65 @@ runServe(const CliOptions &cli)
     return 0;
 }
 
-/** One request/reply exchange over @p fd (replies arrive in order
- * because every smoke request is sent alone). */
-Reply
-roundTrip(int fd, LineReader &reader, const std::string &line)
-{
-    fatalIf(!sendAll(fd, line + "\n"), "smoke: send failed");
-    std::string replyLine;
-    fatalIf(reader.next(&replyLine) != LineReader::Status::kLine,
-            "smoke: no reply line");
-    return Reply::parse(replyLine, "<smoke reply>");
-}
-
-/** The built-in self-check: protocol round-trips, cache hits, error
- * replies, and a client-driven shutdown against a live server. */
-int
-runSmoke()
-{
-    const std::string socketPath = "cryowire_serve_smoke.sock";
-    ServerConfig cfg;
-    cfg.socketPath = socketPath;
-    cfg.admission.initialConcurrency = 2;
-    Server server{cfg};
-    server.start();
-
-    const int fd = connectUnix(socketPath);
-    LineReader reader{fd};
-
-    // Liveness.
-    Request ping;
-    ping.id = "p1";
-    ping.op = Op::kPing;
-    Reply r = roundTrip(fd, reader, formatRequest(ping));
-    fatalIf(r.status != "ok" || r.op != "ping" || r.id != "p1",
-            "smoke: bad ping reply");
-
-    // A cheap real evaluation...
-    Request eval;
-    eval.id = "e1";
-    eval.op = Op::kEval;
-    eval.point.workload = "streamcluster";
-    eval.point.tempK = 77.0;
-    eval.metrics = {"perf", "totalPower"};
-    r = roundTrip(fd, reader, formatRequest(eval));
-    fatalIf(r.status != "ok" || r.cached || r.deduped,
-            "smoke: first eval should miss the cache");
-
-    // ...that the daemon must answer exactly like a direct
-    // PointEvaluator call (the differential contract)...
-    const dse::PointEvaluator direct;
-    const dse::PointMetrics expect = direct.evaluate(eval.point);
-    std::ostringstream wantOut;
-    JsonWriter wantWriter{wantOut, /*indent=*/0};
-    expect.writeJson(wantWriter, eval.metrics);
-    const std::string want = wantOut.str(); // before the final '\n'
-    fatalIf(r.metricsJson != want,
-            "smoke: daemon metrics differ from direct evaluation:\n"
-            "  daemon: " +
-                r.metricsJson + "\n  direct: " + want);
-
-    // ...and serve from cache when asked again.
-    eval.id = "e2";
-    r = roundTrip(fd, reader, formatRequest(eval));
-    fatalIf(r.status != "ok" || !r.cached,
-            "smoke: second eval should hit the cache");
-    fatalIf(r.metricsJson != want,
-            "smoke: cache hit changed the reply bytes");
-
-    // Malformed JSON earns a typed error citing source:line:column.
-    r = roundTrip(fd, reader, "{\"id\":\"x1\",");
-    fatalIf(r.status != "error" ||
-                r.message.find("<request>:1:") == std::string::npos,
-            "smoke: malformed request should cite the position");
-
-    // An invalid point fails at request-parse time.
-    r = roundTrip(fd, reader,
-                  "{\"id\":\"x2\",\"op\":\"eval\","
-                  "\"point\":{\"design\":\"not-a-design\"}}");
-    fatalIf(r.status != "error", "smoke: bad design should error");
-
-    // Client-driven shutdown.
-    Request down;
-    down.id = "s1";
-    down.op = Op::kShutdown;
-    r = roundTrip(fd, reader, formatRequest(down));
-    fatalIf(r.status != "ok" || r.op != "shutdown",
-            "smoke: bad shutdown ack");
-    fatalIf(!server.waitShutdown(2000),
-            "smoke: shutdown request not seen");
-
-    closeFd(fd);
-    server.stop();
-
-    const SvcCounters c = server.serverStats().counters();
-    fatalIf(c.received != 6 || c.replied != 6,
-            "smoke: expected 6 replies to 6 requests");
-    fatalIf(c.ok != 4 || c.errors != 2 || c.evaluated != 1 ||
-                c.cacheHits != 1,
-            "smoke: unexpected disposition counts");
-    std::fputs("cryowire_serve: smoke OK (6 requests, 1 evaluated, "
-               "1 cache hit, 2 typed errors)\n",
-               stderr);
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    CliOptions cli;
-    bool help = false;
-    if (!parseArgs(argc, argv, cli, help)) {
-        std::fputs(kUsage, stderr);
-        return 2;
-    }
-    if (help) {
-        std::fputs(kUsage, stdout);
-        return 0;
-    }
-
-    try {
-        if (cli.smoke)
-            return runSmoke();
-        return runServe(cli);
-    } catch (const FatalError &e) {
-        std::fputs(("cryowire_serve: " + std::string(e.what()) + "\n")
-                       .c_str(),
-                   stderr);
-        return 1;
-    }
+    CliOptions opts;
+    ServerConfig &server = opts.server;
+    AdmissionConfig &admission = server.admission;
+    const cli::Spec spec{
+        "cryowire_serve",
+        "usage: cryowire_serve --socket PATH [options]\n"
+        "\n"
+        "Serve design-point evaluations over a unix socket. One JSON\n"
+        "request per line, one JSON reply per request (see DESIGN.md\n"
+        "section 4g for the schema). Runs until SIGINT/SIGTERM or a\n"
+        "client sends {\"op\":\"shutdown\"}.\n"
+        "\n"
+        "exit status: 0 = success, 1 = failure, 2 = usage error.\n",
+        {
+            cli::text("--socket", "PATH", &server.socketPath,
+                      "unix socket to listen on"),
+            cli::text("--cache", "FILE", &server.cachePath,
+                      "hash-keyed result cache (JSONL); an unwritable\n"
+                      "file degrades to read-only"),
+            cli::toggle("--require-writable-cache",
+                        &opts.requireWritableCache,
+                        "refuse to start instead of degrading"),
+            cli::number("--jobs", "N", &server.evalThreads, 1,
+                        ThreadPool::kMaxJobs,
+                        "grow the eval thread pool to N workers")
+                .defaultsTo("CRYOWIRE_JOBS, else hardware"),
+            cli::number("--initial-concurrency", "N",
+                        &admission.initialConcurrency, 1, INT_MAX,
+                        "admission limit at start"),
+            cli::number("--min-concurrency", "N", &admission.minConcurrency,
+                        1, INT_MAX, "admission limit floor"),
+            cli::number("--max-concurrency", "N", &admission.maxConcurrency,
+                        1, INT_MAX, "admission limit ceiling"),
+            cli::number("--max-queue", "N", &admission.maxQueue, 1, INT_MAX,
+                        "queued requests before shedding"),
+            cli::number("--probe-window-ms", "N", &opts.probeWindowMs, 1,
+                        INT_MAX, "admission probe window"),
+            cli::toggle("--cache-fsync", &server.fsyncCache,
+                        "fsync the cache after every stored record\n"
+                        "(power-loss durability; slower)"),
+            cli::number("--drain-deadline-ms", "N", &server.drainDeadlineMs,
+                        1, INT_MAX, "shutdown drain budget before warning"),
+            {"--failpoint", "L", "site=spec;...", "none",
+             "arm failpoints (grammar in util/failpoint.hh)",
+             &failpoint::armFromList},
+            cli::text("--stats-json", "FILE", &opts.statsJson,
+                      "write the final stats snapshot on exit"),
+            cli::toggle("--quiet", &opts.quiet,
+                        "suppress the shutdown summary"),
+        },
+        [&] { fatalIf(server.socketPath.empty(), "need --socket"); }};
+    return cli::runDriver(spec, argc, argv, [&] {
+        server.tolerateReadOnlyCache = !opts.requireWritableCache;
+        admission.probeWindowUs = opts.probeWindowMs * 1000;
+        return runServe(opts);
+    });
 }

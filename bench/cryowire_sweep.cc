@@ -18,47 +18,16 @@
 #include "dse/point_eval.hh"
 #include "dse/sweep_runner.hh"
 #include "dse/sweep_spec.hh"
+#include "util/cli.hh"
 #include "util/diag.hh"
 #include "util/failpoint.hh"
+#include "util/thread_pool.hh"
 
 namespace
 {
 
 using namespace cryo;
 using namespace cryo::dse;
-
-constexpr const char *kUsage =
-    "usage: cryowire_sweep --spec FILE [options]\n"
-    "       cryowire_sweep --merge OUT SHARD.jsonl...\n"
-    "       cryowire_sweep --smoke\n"
-    "\n"
-    "Evaluate a design-space sweep described by a JSON spec (see\n"
-    "EXPERIMENTS.md for the schema). Results stream as JSONL, one\n"
-    "point per line, in sweep-index order.\n"
-    "\n"
-    "options:\n"
-    "  --spec FILE      sweep specification (JSON)\n"
-    "  --out FILE       result JSONL; \"-\" = stdout (default)\n"
-    "  --cache FILE     hash-keyed result cache; appended as points\n"
-    "                   complete, so a killed run resumes and a\n"
-    "                   re-run only evaluates missing points\n"
-    "  --shard I/N      evaluate indices with i %% N == I (default\n"
-    "                   0/1); shard outputs merge byte-identically\n"
-    "  --jobs N         worker threads (default: CRYOWIRE_JOBS, else\n"
-    "                   hardware)\n"
-    "  --pareto FILE    write the perf-vs-total-power Pareto\n"
-    "                   frontier CSV (of this run's points; combine\n"
-    "                   with --merge for the full sweep)\n"
-    "  --merge OUT IN.. merge shard result files into OUT (verbatim\n"
-    "                   lines, index order, gaps/duplicates fatal)\n"
-    "  --fsync          fsync the cache after every stored record\n"
-    "                   (power-loss durability; slower)\n"
-    "  --failpoint L    arm failpoints: \"site=spec;site=spec...\"\n"
-    "                   (see util/failpoint.hh for the grammar)\n"
-    "  --smoke          run the built-in self-check sweep\n"
-    "  --quiet          suppress the stats line\n"
-    "\n"
-    "exit status: 0 = success, 1 = failure, 2 = usage error.\n";
 
 struct CliOptions
 {
@@ -67,132 +36,21 @@ struct CliOptions
     std::string pareto;
     std::vector<std::string> mergeFiles; ///< [out, in...]
     SweepOptions sweep;
-    bool smoke = false;
     bool quiet = false;
 };
 
-bool
+/** --shard I/N: two strict integers with 0 <= I < N. */
+void
 parseShard(const std::string &arg, SweepOptions *sweep)
 {
     const std::size_t slash = arg.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= arg.size())
-        return false;
-    try {
-        sweep->shardIndex = std::stoi(arg.substr(0, slash));
-        sweep->shardCount = std::stoi(arg.substr(slash + 1));
-    } catch (...) {
-        return false;
-    }
-    return sweep->shardCount >= 1 && sweep->shardIndex >= 0 &&
-           sweep->shardIndex < sweep->shardCount;
-}
-
-bool
-parseArgs(int argc, const char *const *argv, CliOptions &cli,
-          bool &help)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fputs(("cryowire_sweep: " + std::string(flag) +
-                            " needs a value\n")
-                               .c_str(),
-                           stderr);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            help = true;
-            return true;
-        } else if (arg == "--spec") {
-            const char *v = next("--spec");
-            if (v == nullptr)
-                return false;
-            cli.spec = v;
-        } else if (arg == "--out") {
-            const char *v = next("--out");
-            if (v == nullptr)
-                return false;
-            cli.out = v;
-        } else if (arg == "--cache") {
-            const char *v = next("--cache");
-            if (v == nullptr)
-                return false;
-            cli.sweep.cachePath = v;
-        } else if (arg == "--pareto") {
-            const char *v = next("--pareto");
-            if (v == nullptr)
-                return false;
-            cli.pareto = v;
-        } else if (arg == "--shard") {
-            const char *v = next("--shard");
-            if (v == nullptr)
-                return false;
-            if (!parseShard(v, &cli.sweep)) {
-                std::fputs("cryowire_sweep: --shard wants I/N with "
-                           "0 <= I < N\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--jobs") {
-            const char *v = next("--jobs");
-            if (v == nullptr)
-                return false;
-            cli.sweep.jobs = std::atoi(v);
-            if (cli.sweep.jobs < 1) {
-                std::fputs("cryowire_sweep: --jobs must be >= 1\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--merge") {
-            const char *v = next("--merge");
-            if (v == nullptr)
-                return false;
-            cli.mergeFiles.push_back(v);
-            while (i + 1 < argc && argv[i + 1][0] != '-')
-                cli.mergeFiles.push_back(argv[++i]);
-            if (cli.mergeFiles.size() < 2) {
-                std::fputs("cryowire_sweep: --merge wants OUT plus at "
-                           "least one shard file\n",
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--fsync") {
-            cli.sweep.fsyncCache = true;
-        } else if (arg == "--failpoint") {
-            const char *v = next("--failpoint");
-            if (v == nullptr)
-                return false;
-            try {
-                cryo::failpoint::armFromList(v);
-            } catch (const FatalError &e) {
-                std::fputs(("cryowire_sweep: " +
-                            std::string(e.what()) + "\n")
-                               .c_str(),
-                           stderr);
-                return false;
-            }
-        } else if (arg == "--smoke") {
-            cli.smoke = true;
-        } else if (arg == "--quiet") {
-            cli.quiet = true;
-        } else {
-            std::fputs(("cryowire_sweep: unknown option \"" + arg +
-                        "\"\n")
-                           .c_str(),
-                       stderr);
-            return false;
-        }
-    }
-    if (!cli.smoke && cli.spec.empty() && cli.mergeFiles.empty()) {
-        std::fputs("cryowire_sweep: need --spec, --merge or --smoke\n",
-                   stderr);
-        return false;
-    }
-    return true;
+    const auto index = cli::parseNumber<int>(arg.substr(0, slash));
+    const auto count = cli::parseNumber<int>(
+        slash == std::string::npos ? "" : arg.substr(slash + 1));
+    fatalIf(!index || !count || *index < 0 || *index >= *count,
+            "want I/N with 0 <= I < N");
+    sweep->shardIndex = *index;
+    sweep->shardCount = *count;
 }
 
 void
@@ -274,115 +132,58 @@ runSpec(const CliOptions &cli)
     return 0;
 }
 
-/** The built-in self-check: exercises cache hits, shard merge
- * byte-identity, and Pareto extraction on a small real sweep. */
-int
-runSmoke()
-{
-    const char *spec_json = R"({
-        "name": "smoke",
-        "base": { "design": "cryosp-cryobus77", "suite": "parsec21",
-                  "workload": "streamcluster" },
-        "axes": [
-            { "field": "tempK",
-              "range": { "from": 77, "to": 150, "steps": 3 } },
-            { "field": "busWays", "values": [1, 2] }
-        ],
-        "points": [ { "design": "baseline300-mesh", "tempK": null,
-                      "busWays": 1 } ]
-    })";
-    const SweepSpec spec =
-        SweepSpec::fromJson(parseJson(spec_json, "<smoke spec>"));
-    const PointEvaluator evaluator;
-    const std::string cache_path = "cryowire_sweep_smoke.cache.jsonl";
-    std::remove(cache_path.c_str());
-
-    // Pass 1: cold cache, serial.
-    SweepOptions serial;
-    serial.cachePath = cache_path;
-    std::ostringstream first;
-    SweepStats s1;
-    runSweep(spec, evaluator, first, serial, &s1);
-    fatalIf(s1.evaluated != s1.shardPoints || s1.cacheHits != 0,
-            "smoke: cold cache should evaluate every point");
-
-    // Pass 2: warm cache - every point must hit.
-    std::ostringstream second;
-    SweepStats s2;
-    runSweep(spec, evaluator, second, serial, &s2);
-    fatalIf(s2.cacheHits != s2.shardPoints || s2.evaluated != 0,
-            "smoke: warm cache should hit every point");
-    fatalIf(first.str() != second.str(),
-            "smoke: cache hits changed the result bytes");
-
-    // Pass 3: two cold shards merge byte-identically to the serial
-    // run.
-    std::remove(cache_path.c_str());
-    std::vector<std::string> shard_paths;
-    for (int k = 0; k < 2; ++k) {
-        SweepOptions opts;
-        opts.shardIndex = k;
-        opts.shardCount = 2;
-        const std::string path = "cryowire_sweep_smoke.shard" +
-                                 std::to_string(k) + ".jsonl";
-        std::ofstream out{path};
-        fatalIf(!out, "smoke: cannot write " + path);
-        SweepStats ss;
-        runSweep(spec, evaluator, out, opts, &ss);
-        fatalIf(ss.shardPoints == 0, "smoke: empty shard");
-        shard_paths.push_back(path);
-    }
-    std::ostringstream merged;
-    mergeShards(shard_paths, merged);
-    fatalIf(merged.str() != first.str(),
-            "smoke: sharded merge is not byte-identical to the "
-            "serial run");
-
-    // Pareto frontier over the full sweep must be non-empty and
-    // non-dominated by construction.
-    std::istringstream results{merged.str()};
-    const auto points = readResults(results, "<smoke results>");
-    const auto frontier = paretoFrontier(points);
-    fatalIf(frontier.empty(), "smoke: empty Pareto frontier");
-
-    for (const std::string &p : shard_paths)
-        std::remove(p.c_str());
-    std::remove(cache_path.c_str());
-    std::fputs(("cryowire_sweep: smoke OK (" +
-                std::to_string(points.size()) + " points, " +
-                std::to_string(frontier.size()) +
-                " on the frontier)\n")
-                   .c_str(),
-               stderr);
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    CliOptions cli;
-    bool help = false;
-    if (!parseArgs(argc, argv, cli, help)) {
-        std::fputs(kUsage, stderr);
-        return 2;
-    }
-    if (help) {
-        std::fputs(kUsage, stdout);
-        return 0;
-    }
-
-    try {
-        if (cli.smoke)
-            return runSmoke();
-        if (!cli.mergeFiles.empty())
-            return runMerge(cli);
-        return runSpec(cli);
-    } catch (const FatalError &e) {
-        std::fputs(("cryowire_sweep: " + std::string(e.what()) + "\n")
-                       .c_str(),
-                   stderr);
-        return 1;
-    }
+    CliOptions opts;
+    const cli::Spec spec{
+        "cryowire_sweep",
+        "usage: cryowire_sweep --spec FILE [options]\n"
+        "       cryowire_sweep --merge OUT SHARD.jsonl... [options]\n"
+        "\n"
+        "Evaluate a design-space sweep described by a JSON spec (see\n"
+        "EXPERIMENTS.md for the schema). Results stream as JSONL, one\n"
+        "point per line, in sweep-index order.\n"
+        "\n"
+        "exit status: 0 = success, 1 = failure, 2 = usage error.\n",
+        {
+            cli::text("--spec", "FILE", &opts.spec,
+                      "sweep specification (JSON)"),
+            cli::text("--out", "FILE", &opts.out,
+                      "result JSONL; \"-\" = stdout"),
+            cli::text("--cache", "FILE", &opts.sweep.cachePath,
+                      "hash-keyed result cache; appended as points\n"
+                      "complete, so a killed run resumes and a re-run\n"
+                      "only evaluates missing points"),
+            {"--shard", "I/N", "I/N with 0 <= I < N", "0/1",
+             "evaluate indices with i % N == I; shard outputs\n"
+             "merge byte-identically",
+             [&](const std::string &v) { parseShard(v, &opts.sweep); }},
+            cli::number("--jobs", "N", &opts.sweep.jobs, 1,
+                        ThreadPool::kMaxJobs, "worker threads")
+                .defaultsTo("CRYOWIRE_JOBS, else hardware"),
+            cli::text("--pareto", "FILE", &opts.pareto,
+                      "write the perf-vs-total-power Pareto frontier\n"
+                      "CSV (of this run's points; combine with --merge\n"
+                      "for the full sweep)"),
+            cli::operands("--merge", "OUT IN...", &opts.mergeFiles, 2,
+                          "merge shard result files into OUT (verbatim\n"
+                          "lines, index order, gaps/duplicates fatal)"),
+            cli::toggle("--fsync", &opts.sweep.fsyncCache,
+                        "fsync the cache after every stored record\n"
+                        "(power-loss durability; slower)"),
+            {"--failpoint", "L", "site=spec;...", "none",
+             "arm failpoints (grammar in util/failpoint.hh)",
+             &failpoint::armFromList},
+            cli::toggle("--quiet", &opts.quiet, "suppress the stats line"),
+        },
+        [&] {
+            fatalIf(opts.spec.empty() && opts.mergeFiles.empty(),
+                    "need --spec or --merge");
+        }};
+    return cli::runDriver(spec, argc, argv, [&] {
+        return opts.mergeFiles.empty() ? runSpec(opts) : runMerge(opts);
+    });
 }

@@ -30,8 +30,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -40,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/cli.hh"
 #include "util/json.hh"
 
 namespace cryo::micro
@@ -68,43 +71,35 @@ struct KernelRow
 };
 
 /**
- * Suite driver: parses the common CLI, times kernel bodies, renders a
- * table to stdout, and writes the gate's JSON on request.
- *
- * Options: --json PATH, --reps N (default 5), --min-time-ms N
- * (default 100), --quiet.
+ * Suite driver: parses the common CLI (see --help), times kernel
+ * bodies, renders a table to stdout, and writes the gate's JSON on
+ * request.
  */
 class Harness
 {
   public:
-    Harness(std::string suite, int argc, char **argv) : suite_(std::move(suite))
+    Harness(std::string suite, int argc, char **argv)
+        : suite_(std::move(suite))
     {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    std::cerr << suite_ << ": " << arg
-                              << " needs an argument\n";
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
-            if (arg == "--json") {
-                jsonPath_ = next();
-            } else if (arg == "--reps") {
-                reps_ = std::max(1, std::stoi(next()));
-            } else if (arg == "--min-time-ms") {
-                minTimeNs_ = std::stod(next()) * 1e6;
-            } else if (arg == "--quiet") {
-                quiet_ = true;
-            } else {
-                std::cerr << suite_ << ": unknown option " << arg
-                          << "\nusage: " << suite_
-                          << " [--json PATH] [--reps N]"
-                             " [--min-time-ms N] [--quiet]\n";
-                std::exit(2);
-            }
-        }
+        const cli::Spec spec{
+            "bench_" + suite_,
+            "usage: bench_" + suite_ + " [options]\n\nTime the " +
+                suite_ +
+                " kernels and print their ns/op; --json writes\n"
+                "the report tools/bench_gate.py checks.\n",
+            {
+                cli::text("--json", "PATH", &jsonPath_,
+                          "write the cryowire-bench/1 JSON report"),
+                cli::number("--reps", "N", &reps_, 1, INT_MAX,
+                            "timed samples per kernel; the minimum "
+                            "is reported"),
+                cli::number("--min-time-ms", "MS", &minTimeMs_, 0.0, 1e6,
+                            "calibrate each sample to at least this long"),
+                cli::toggle("--quiet", &quiet_, "suppress the table"),
+            }};
+        if (const std::optional<int> status =
+                cli::parseForMain(spec, argc, argv))
+            std::exit(*status);
     }
 
     /**
@@ -127,7 +122,7 @@ class Harness
         };
         std::uint64_t iters = 1;
         double ns = sample(iters);
-        while (ns < minTimeNs_ && iters < (std::uint64_t{1} << 28)) {
+        while (ns < minTimeMs_ * 1e6 && iters < (std::uint64_t{1} << 28)) {
             iters *= 2;
             ns = sample(iters);
         }
@@ -216,7 +211,7 @@ class Harness
     std::string suite_;
     std::string jsonPath_;
     int reps_ = 5;
-    double minTimeNs_ = 100e6;
+    double minTimeMs_ = 100.0;
     bool quiet_ = false;
     std::vector<KernelRow> rows_;
 };

@@ -12,7 +12,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "mem/memory_system.hh"
@@ -21,6 +20,7 @@
 #include "netsim/router_net.hh"
 #include "noc/noc_config.hh"
 #include "tech/technology.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 int
@@ -29,12 +29,16 @@ main(int argc, char **argv)
     using namespace cryo;
     using namespace cryo::netsim;
 
-    int cores = 64;
-    double temp_k = 77.0;
-    if (argc > 1)
-        cores = std::atoi(argv[1]);
-    if (argc > 2)
-        temp_k = std::atof(argv[2]);
+    // A malformed number becomes an out-of-range one, rejected below.
+    const int cores =
+        argc > 1 ? cli::parseNumber<int>(argv[1]).value_or(0) : 64;
+    const double temp_k =
+        argc > 2 ? cli::parseFinite(argv[2]).value_or(-1.0) : 77.0;
+    if (cores < 1 || cores > 1024 || temp_k < 40.0 || temp_k > 400.0) {
+        std::fprintf(stderr,
+                     "usage: noc_designer [1..1024 cores] [40..400 K]\n");
+        return 1;
+    }
 
     auto technology = tech::Technology::freePdk45();
     noc::NocDesigner designer{technology, cores};

@@ -12,12 +12,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "pipeline/ipc_model.hh"
 #include "pipeline/stage_library.hh"
 #include "pipeline/superpipeline.hh"
 #include "tech/technology.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 int
@@ -27,8 +27,9 @@ main(int argc, char **argv)
     using namespace cryo::pipeline;
 
     double temp_k = 77.0;
+    // A malformed number becomes -1, which the range check rejects.
     if (argc > 1)
-        temp_k = std::atof(argv[1]);
+        temp_k = cli::parseFinite(argv[1]).value_or(-1.0);
     if (temp_k < 40.0 || temp_k > 400.0) {
         std::fprintf(stderr, "temperature must be in [40, 400] K\n");
         return 1;

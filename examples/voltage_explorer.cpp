@@ -11,11 +11,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/system_builder.hh"
 #include "core/voltage_optimizer.hh"
 #include "tech/technology.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 int
@@ -26,10 +26,11 @@ main(int argc, char **argv)
 
     double temp_k = 77.0;
     double budget = 1.0;
+    // A malformed number becomes -1, which the range check rejects.
     if (argc > 1)
-        temp_k = std::atof(argv[1]);
+        temp_k = cli::parseFinite(argv[1]).value_or(-1.0);
     if (argc > 2)
-        budget = std::atof(argv[2]);
+        budget = cli::parseFinite(argv[2]).value_or(-1.0);
     if (temp_k < 40.0 || temp_k > 400.0 || budget <= 0.0) {
         std::fprintf(stderr,
                      "usage: voltage_explorer [40..400 K] [budget>0]\n");

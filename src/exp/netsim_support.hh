@@ -53,21 +53,6 @@ measureOpts()
     return o;
 }
 
-/**
- * A dense rate grid spanning [lo, hi] for sweep-scaling runs; every
- * point is an independent simulation, so the grid size sets the
- * available parallelism.
- */
-inline std::vector<double>
-denseRates(double lo, double hi, std::size_t points)
-{
-    std::vector<double> rates(points);
-    for (std::size_t i = 0; i < points; ++i)
-        rates[i] = lo + (hi - lo) * static_cast<double>(i) /
-            static_cast<double>(points - 1);
-    return rates;
-}
-
 } // namespace cryo::exp
 
 #endif // CRYOWIRE_EXP_NETSIM_SUPPORT_HH

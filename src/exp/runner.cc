@@ -4,12 +4,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "util/diag.hh"
@@ -20,128 +16,6 @@ namespace cryo::exp
 
 namespace
 {
-
-constexpr const char *kUsage =
-    "usage: cryowire_bench [options]\n"
-    "\n"
-    "Run the registered figure/table experiments and gate their paper\n"
-    "anchors. Exit 0 = every anchor within tolerance, 1 = anchor miss\n"
-    "or failed experiment, 2 = usage error.\n"
-    "\n"
-    "  --list           print the selected experiments and exit\n"
-    "  --filter F       select by tag or name glob (repeatable, also\n"
-    "                   comma-separated); default: all experiments\n"
-    "  --json PATH      write the machine-readable results JSON\n"
-    "  --csv DIR        write per-experiment CSVs into DIR\n"
-    "  --seed N         base seed for stochastic simulations (default 1)\n"
-    "  --jobs N         experiments run concurrently (default 1);\n"
-    "                   results are byte-identical at any job count\n"
-    "  --watchdog N     flag experiments still running after N seconds\n"
-    "                   on stderr (default 600; 0 disables)\n"
-    "  --quiet          suppress the per-experiment text report\n"
-    "  --help           this text\n";
-
-void
-splitFilters(const std::string &arg, std::vector<std::string> &out)
-{
-    std::stringstream ss{arg};
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty())
-            out.push_back(item);
-    }
-}
-
-/** Parse argv into @p opts; returns false (after a message) on error. */
-bool
-parseArgs(int argc, const char *const *argv, RunOptions &opts,
-          bool &help)
-{
-    help = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&](const char *what) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "cryowire_bench: %s expects a value\n",
-                             what);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            opts.list = true;
-        } else if (arg == "--quiet") {
-            opts.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            help = true;
-        } else if (arg == "--filter") {
-            const char *v = next("--filter");
-            if (!v)
-                return false;
-            splitFilters(v, opts.filters);
-        } else if (arg == "--json") {
-            const char *v = next("--json");
-            if (!v)
-                return false;
-            opts.jsonPath = v;
-        } else if (arg == "--csv") {
-            const char *v = next("--csv");
-            if (!v)
-                return false;
-            opts.csvDir = v;
-        } else if (arg == "--seed") {
-            const char *v = next("--seed");
-            if (!v)
-                return false;
-            opts.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--jobs") {
-            const char *v = next("--jobs");
-            if (!v)
-                return false;
-            opts.jobs = static_cast<int>(std::strtol(v, nullptr, 10));
-            if (opts.jobs < 1) {
-                std::fprintf(stderr,
-                             "cryowire_bench: --jobs must be >= 1\n");
-                return false;
-            }
-        } else if (arg == "--watchdog") {
-            const char *v = next("--watchdog");
-            if (!v)
-                return false;
-            opts.watchdogSeconds = std::strtod(v, nullptr);
-            if (opts.watchdogSeconds < 0.0) {
-                std::fprintf(stderr,
-                             "cryowire_bench: --watchdog must be "
-                             ">= 0\n");
-                return false;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "cryowire_bench: unknown option '%s'\n",
-                         arg.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
-void
-printList(const std::vector<const Experiment *> &selection)
-{
-    Table t({"name", "tags", "title"});
-    for (const Experiment *e : selection) {
-        std::string tags;
-        for (const std::string &tag : e->tags) {
-            if (!tags.empty())
-                tags += ',';
-            tags += tag;
-        }
-        t.addRow({e->name, tags, e->title});
-    }
-    t.print();
-    std::printf("%zu experiment(s)\n", selection.size());
-}
 
 /**
  * Run one experiment with failure isolation: a throw is captured into
@@ -305,82 +179,6 @@ runExperiments(const Registry &registry, const RunOptions &opts)
         },
         popts);
     return records;
-}
-
-int
-runMain(int argc, const char *const *argv)
-{
-    RunOptions opts;
-    bool help = false;
-    if (!parseArgs(argc, argv, opts, help)) {
-        std::fputs(kUsage, stderr);
-        return 2;
-    }
-    if (help) {
-        std::fputs(kUsage, stdout);
-        return 0;
-    }
-
-    const Registry &registry = Registry::builtins();
-    const std::vector<const Experiment *> selection =
-        registry.match(opts.filters);
-    if (selection.empty()) {
-        std::fprintf(stderr,
-                     "cryowire_bench: no experiment matches the "
-                     "filter; try --list\n");
-        return 2;
-    }
-    if (opts.list) {
-        printList(selection);
-        return 0;
-    }
-
-    const std::vector<RunRecord> records =
-        runExperiments(registry, opts);
-
-    if (!opts.quiet) {
-        for (const RunRecord &rec : records)
-            std::fputs(renderText(rec).c_str(), stdout);
-        std::fputs("\n", stdout);
-    }
-
-    try {
-        if (!opts.jsonPath.empty()) {
-            std::ofstream out{opts.jsonPath};
-            fatalIf(!out.is_open(),
-                    "cannot open JSON output file: " + opts.jsonPath);
-            writeJson(out, records, opts.seed);
-        }
-        if (!opts.csvDir.empty()) {
-            for (const RunRecord &rec : records)
-                writeCsv(opts.csvDir, rec);
-        }
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-    }
-
-    const std::size_t failed = renderAnchorSummary(std::cout, records);
-    return failed == 0 ? 0 : 1;
-}
-
-int
-runExperimentMain(const std::string &name)
-{
-    const Experiment *e = Registry::builtins().find(name);
-    if (e == nullptr) {
-        std::fprintf(stderr, "unknown experiment: %s\n", name.c_str());
-        return 2;
-    }
-    const Context ctx;
-    RunRecord rec;
-    rec.experiment = e;
-    runOne(*e, ctx, rec);
-    std::fputs(renderText(rec).c_str(), stdout);
-    std::vector<RunRecord> records;
-    records.push_back(std::move(rec));
-    const std::size_t failed = renderAnchorSummary(std::cout, records);
-    return failed == 0 ? 0 : 1;
 }
 
 } // namespace cryo::exp

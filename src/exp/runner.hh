@@ -3,11 +3,7 @@
  * The experiment runner: selects experiments from the registry, runs
  * them (optionally in parallel on the shared thread pool, with
  * deterministic registry-order results), feeds every sink, and applies
- * the anchor gate.
- *
- * runMain() is the cryowire_bench CLI; runExperimentMain() is the
- * 3-line per-figure shim entry that keeps the historical bench_*
- * binaries working.
+ * the anchor gate. bench/cryowire_bench.cc is the command line on top.
  */
 
 #ifndef CRYOWIRE_EXP_RUNNER_HH
@@ -58,19 +54,6 @@ struct RunOptions
  */
 std::vector<RunRecord> runExperiments(const Registry &registry,
                                       const RunOptions &opts);
-
-/**
- * The cryowire_bench entry point. Exit codes: 0 = all anchors within
- * tolerance, 1 = at least one anchor miss or failed experiment,
- * 2 = usage error.
- */
-int runMain(int argc, const char *const *argv);
-
-/**
- * Shim entry: run the single experiment @p name with default options,
- * print its text, and gate its anchors (exit 1 on a miss).
- */
-int runExperimentMain(const std::string &name);
 
 } // namespace cryo::exp
 

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "util/cli.hh"
 #include "util/diag.hh"
 #include "util/rng.hh"
 
@@ -66,17 +67,11 @@ splitCall(const std::string &text, const std::string &name,
 std::uint64_t
 parseCount(const std::string &text, const std::string &what)
 {
-    fatalIf(text.empty(), "failpoint spec: " + what +
-                              " needs a positive integer argument");
-    std::uint64_t value = 0;
-    for (const char c : text) {
-        fatalIf(c < '0' || c > '9',
-                "failpoint spec: bad integer \"" + text + "\" in " +
-                    what);
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    fatalIf(value == 0, "failpoint spec: " + what + " must be >= 1");
-    return value;
+    const auto n = cli::parseNumber<std::uint64_t>(text);
+    fatalIf(!n || *n < 1, "failpoint spec: " + what +
+                              " wants a positive integer, got \"" +
+                              text + "\"");
+    return *n;
 }
 
 Site
@@ -107,18 +102,10 @@ parseSpec(const std::string &spec)
         fatalIf(comma == std::string::npos,
                 "failpoint spec: prob wants prob(P,SEED)");
         const std::string p = args.substr(0, comma);
-        try {
-            std::size_t used = 0;
-            site.p = std::stod(p, &used);
-            fatalIf(used != p.size(), "trailing junk");
-        } catch (const FatalError &) {
-            throw;
-        } catch (...) {
-            fatal("failpoint spec: bad probability \"" + p + "\"");
-        }
+        site.p = cli::parseFinite(p).value_or(-1.0);
         fatalIf(site.p < 0.0 || site.p > 1.0,
-                "failpoint spec: probability " + p +
-                    " outside [0, 1]");
+                "failpoint spec: probability \"" + p +
+                    "\" is not a number in [0, 1]");
         site.rng =
             Rng{parseCount(args.substr(comma + 1), "prob() seed")};
     } else {

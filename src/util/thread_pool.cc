@@ -1,11 +1,11 @@
 #include "thread_pool.hh"
 
-#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <system_error>
 
+#include "cli.hh"
 #include "diag.hh"
 
 namespace cryo
@@ -87,20 +87,15 @@ ThreadPool::parseJobs(const char *env)
             ? std::string_view{}
             : raw.substr(begin, end - begin + 1);
 
-    long jobs = 0;
-    const auto *first = trimmed.data();
-    const auto *last = trimmed.data() + trimmed.size();
-    const auto [ptr, ec] = std::from_chars(first, last, jobs);
-    const bool numeric =
-        !trimmed.empty() && ec == std::errc{} && ptr == last;
-    if (numeric && jobs >= 1 && jobs <= kMaxJobs)
-        return static_cast<int>(jobs);
+    const auto jobs = cli::parseNumber<std::int64_t>(trimmed);
+    if (jobs && *jobs >= 1 && *jobs <= kMaxJobs)
+        return static_cast<int>(*jobs);
 
     const int fallback = hardwareThreads();
     std::string reason;
-    if (!numeric)
+    if (!jobs)
         reason = "not a decimal integer";
-    else if (jobs < 1)
+    else if (*jobs < 1)
         reason = "must be at least 1";
     else
         reason = "exceeds the sanity cap of " +

@@ -54,17 +54,18 @@ class ThreadPool
     static int defaultThreads();
 
     /**
-     * Largest CRYOWIRE_JOBS value accepted. Far above any real
-     * machine; a request beyond it is a typo ("80000" for "8"), not a
-     * topology, and oversubscribing by three orders of magnitude would
-     * OOM before it parallelized anything.
+     * Largest CRYOWIRE_JOBS or --jobs value accepted. Far above any
+     * real machine; a request beyond it is a typo ("80000" for "8"),
+     * not a topology, and oversubscribing by three orders of
+     * magnitude would OOM before it parallelized anything.
      */
     static constexpr int kMaxJobs = 4096;
 
     /**
      * Validate one CRYOWIRE_JOBS value (defaultThreads' parsing,
      * exposed for tests). Accepts a decimal integer in [1, kMaxJobs]
-     * with optional surrounding whitespace. Anything else - empty,
+     * (cli::parseNumber, the rule every --jobs flag uses) with
+     * optional surrounding whitespace. Anything else - empty,
      * non-numeric, trailing garbage, zero, negative, or absurd - emits
      * one dedup'd warn() naming the value and falls back to the
      * hardware thread count. @p env may be nullptr (unset: silent

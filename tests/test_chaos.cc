@@ -178,6 +178,10 @@ TEST_F(FailpointChaos, MalformedSpecsAreFatal)
     EXPECT_THROW(failpoint::arm("t", "always:partial"), FatalError);
     EXPECT_THROW(failpoint::arm("t", "prob(1.5,1):error"),
                  FatalError);
+    // Strict numbers: no silent wraparound, no NaN probability.
+    EXPECT_THROW(failpoint::arm("t", "nth(99999999999999999999):error"),
+                 FatalError);
+    EXPECT_THROW(failpoint::arm("t", "prob(nan,1):error"), FatalError);
     EXPECT_THROW(failpoint::armFromList("a=always:error;nonsense"),
                  FatalError);
     EXPECT_TRUE(failpoint::armedSites().empty() ||

@@ -664,6 +664,63 @@ TEST(SvcDifferential, PipelinedEightWorkersDedupeInFlight)
 }
 
 /* ------------------------------------------------------------------ */
+/* One session through every request kind, with exact counters.       */
+/* ------------------------------------------------------------------ */
+
+TEST(SvcSession, PingEvalErrorsAndClientShutdown)
+{
+    ServerConfig cfg;
+    cfg.socketPath = "t_svc_session.sock";
+    Server server{cfg};
+    server.start();
+    {
+        Client client{cfg.socketPath};
+        const auto send = [&client](const std::string &line) {
+            client.send(line);
+            return client.read();
+        };
+        Request req;
+        req.id = "p1";
+        req.op = Op::kPing;
+        Reply r = send(formatRequest(req));
+        EXPECT_EQ(r.status + " " + r.op + " " + r.id, "ok ping p1");
+
+        // A cheap evaluation misses the cache; its repeat hits it.
+        req.op = Op::kEval;
+        req.point.workload = "streamcluster";
+        req.metrics = {"perf", "totalPower"};
+        r = send(formatRequest(req));
+        EXPECT_EQ(r.status, "ok") << r.message;
+        EXPECT_FALSE(r.cached);
+        EXPECT_TRUE(send(formatRequest(req)).cached);
+
+        // Malformed JSON earns a typed error citing its position; an
+        // unknown design fails at parse time, before any evaluation.
+        r = send("{\"id\":\"x1\",");
+        EXPECT_EQ(r.status, "error");
+        EXPECT_NE(r.message.find("<request>:1:"), std::string::npos);
+        EXPECT_EQ(send("{\"id\":\"x2\",\"op\":\"eval\",\"point\":"
+                       "{\"design\":\"not-a-design\"}}")
+                      .status,
+                  "error");
+
+        req.op = Op::kShutdown;
+        r = send(formatRequest(req));
+        EXPECT_EQ(r.status + " " + r.op, "ok shutdown");
+    }
+    EXPECT_TRUE(server.waitShutdown(2000));
+    server.stop();
+
+    const SvcCounters c = server.serverStats().counters();
+    EXPECT_EQ(c.received, 6u);
+    EXPECT_EQ(c.replied, 6u);
+    EXPECT_EQ(c.ok, 4u);
+    EXPECT_EQ(c.errors, 2u);
+    EXPECT_EQ(c.evaluated, 1u);
+    EXPECT_EQ(c.cacheHits, 1u);
+}
+
+/* ------------------------------------------------------------------ */
 /* Fault injection.                                                   */
 /* ------------------------------------------------------------------ */
 

@@ -1,19 +1,22 @@
 /**
  * @file
  * Unit tests for the util layer: statistics, histogram, table, CSV,
- * and the deterministic RNG.
+ * the deterministic RNG, and the drivers' flag tables (util/cli).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "util/cli.hh"
 #include "util/csv.hh"
 #include "util/json.hh"
 #include "util/diag.hh"
@@ -717,6 +720,116 @@ TEST(ThreadPoolJobs, CapsAbsurdCounts)
     const auto s = diag::warnStats();
     EXPECT_EQ(s.emitted + s.suppressed, 1u);
     diag::resetWarnings();
+}
+
+/** A flag table with one entry of every kind. */
+struct CliTable
+{
+    bool quiet = false;
+    std::string out = "-", pattern = "steady", shard = "0/1";
+    std::vector<std::string> filters, merge;
+    int jobs = 1;
+    std::uint64_t seed = 1;
+    double rate = 20.0;
+
+    cli::Spec spec()
+    {
+        return {"tool",
+                "usage: tool\n",
+                {cli::toggle("--quiet", &quiet, "say less"),
+                 cli::text("--out", "FILE", &out, "output file"),
+                 cli::list("--filter", "F", &filters, "selection"),
+                 cli::operands("--merge", "OUT IN...", &merge, 2, "merge"),
+                 cli::number("--jobs", "N", &jobs, 1, 8, "workers"),
+                 cli::number("--seed", "S", &seed, 0, UINT64_MAX, "seed"),
+                 cli::number("--rate", "R", &rate, 0.5, 100.0, "rate"),
+                 cli::choice("--pattern", "P", &pattern,
+                             {"steady", "bursty"}, "arrivals"),
+                 {"--shard", "I/N", "I/N", "0/1", "shard",
+                  [this](const std::string &v) {
+                      fatalIf(v.find('/') == std::string::npos, "want I/N");
+                      shard = v;
+                  }}},
+                [this] { fatalIf(jobs == 7, "seven is unlucky"); }};
+    }
+
+    /** cli::parse() of @p args, or the message it throws. */
+    std::string parse(std::vector<const char *> args)
+    {
+        args.insert(args.begin(), "tool");
+        try {
+            return cli::parse(spec(), static_cast<int>(args.size()),
+                              args.data())
+                       ? "parsed"
+                       : "help";
+        } catch (const FatalError &e) {
+            return e.message();
+        }
+    }
+};
+
+TEST(Cli, ParsesEveryKindIntoItsTarget)
+{
+    CliTable t;
+    ASSERT_EQ(t.parse({"--quiet", "--out", "-", "--filter", "a,b",
+                       "--filter", "c", "--merge", "o", "i1", "i2",
+                       "--jobs", "8", "--seed", "18446744073709551615",
+                       "--rate", "0.5", "--pattern", "bursty", "--shard",
+                       "1/3", "--jobs", "3"}),
+              "parsed");
+    EXPECT_TRUE(t.quiet);
+    EXPECT_EQ(t.filters, (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_EQ(t.merge, (std::vector<std::string>{"o", "i1", "i2"}));
+    EXPECT_EQ(t.jobs, 3); // the last occurrence wins
+    EXPECT_EQ(t.seed, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(t.rate, 0.5);
+    EXPECT_EQ(t.pattern, "bursty");
+    EXPECT_EQ(t.shard, "1/3");
+    EXPECT_EQ(t.parse({"--jobs", "2", "--help", "--bogus"}), "help");
+    EXPECT_EQ(t.parse({"-h"}), "help");
+}
+
+TEST(Cli, ErrorsNameTheFlagAndTheText)
+{
+    const std::string want = "\" (want an integer in [";
+    const std::vector<std::pair<std::vector<const char *>, std::string>>
+        cases = {
+            {{"--jobs", "2x"}, "--jobs: bad value \"2x" + want + "1, 8])"},
+            {{"--jobs", "9"}, "--jobs: bad value \"9" + want + "1, 8])"},
+            {{"--seed", "-1"}, "--seed: bad value \"-1" + want +
+                                   "0, 18446744073709551615])"},
+            {{"--rate", "nan"}, "--rate: bad value \"nan\" (want a "
+                                "finite number in [0.5, 100])"},
+            {{"--rate", "1e400"}, "--rate: bad value \"1e400\" (want a "
+                                  "finite number in [0.5, 100])"},
+            {{"--pattern", "flat"}, "--pattern: bad value \"flat\" "
+                                    "(want one of steady|bursty)"},
+            {{"--shard", "3"}, "--shard: bad value \"3\" (want I/N)"},
+            {{"--bogus"}, "--bogus: unknown flag"},
+            {{"stray"}, "\"stray\": unexpected argument"},
+            {{"--out"}, "--out: missing value FILE"},
+            {{"--out", "--quiet"}, "--out: missing value FILE"},
+            {{"--merge", "o"},
+             "--merge: want OUT IN..., 2 or more values, got \"o\""},
+            {{"--jobs", "7"}, "seven is unlucky"},
+        };
+    for (const auto &[args, message] : cases)
+        EXPECT_EQ(CliTable{}.parse(args), message);
+}
+
+TEST(Cli, UsageListsKindRangeAndDefault)
+{
+    CliTable t;
+    const std::string text = cli::usage(t.spec());
+    EXPECT_EQ(text.rfind("usage: tool\n\noptions:\n", 0), 0u) << text;
+    for (const char *line :
+         {"--quiet", "switch; default off", "--out FILE",
+          "string; default \"-\"", "--jobs N",
+          "an integer in [1, 8]; default 1",
+          "a finite number in [0.5, 100]; default 20",
+          "one of steady|bursty; default steady", "--shard I/N",
+          "--merge OUT IN...", "2 or more values", "--help, -h"})
+        EXPECT_NE(text.find(line), std::string::npos) << line;
 }
 
 TEST(Csv, DoubleRowsRoundTrip)

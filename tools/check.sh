@@ -14,15 +14,14 @@
 #                            gate their timings against the committed
 #                            BENCH_micro_*.json baselines
 #   tools/check.sh --dse     fast DSE path: build only the sweep
-#                            driver + its unit tests, run the dse
-#                            test binary and the dse-smoke ctest
-#                            label (cache-hit + byte-identity
-#                            assertions), ~seconds not minutes
+#                            driver + its unit tests and run test_dse
+#                            (cache-hit, shard-merge byte-identity and
+#                            Pareto assertions), ~seconds not minutes
 #   tools/check.sh --serve   serving-layer path: build the daemon,
 #                            load generator, and test_svc; run the
-#                            unit/differential suite and the daemon
-#                            smoke, then a short loadgen burst gated
-#                            against the BENCH_serve.json baseline
+#                            unit/differential/live-session suite,
+#                            then a short loadgen burst gated against
+#                            the BENCH_serve.json baseline
 #   tools/check.sh --chaos   failure-model path: build the chaos
 #                            suite + the serve/sweep stack, run
 #                            test_chaos (every failpoint schedule),
@@ -63,9 +62,9 @@ case "$MODE" in
         CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE=Release)
         ;;
     --dse)
-        # DSE fast path: the sweep driver, its unit tests, and the
-        # smoke sweep - enough to validate a DesignPoint/sweep-engine
-        # change without the full -Werror tree + experiment gate.
+        # DSE fast path: the sweep driver and its unit tests - enough
+        # to validate a DesignPoint/sweep-engine change without the
+        # full -Werror tree + experiment gate.
         echo "==> configure (${CMAKE_ARGS[*]})"
         cmake -S "$ROOT" -B "$BUILD_DIR" "${CMAKE_ARGS[@]}" >/dev/null
         echo "==> build cryowire_sweep + test_dse"
@@ -74,15 +73,14 @@ case "$MODE" in
             -- --no-print-directory
         echo "==> test_dse"
         "$BUILD_DIR/tests/test_dse"
-        echo "==> ctest -L dse-smoke"
-        ctest --test-dir "$BUILD_DIR" -L dse-smoke --output-on-failure
         echo "==> all checks passed"
         exit 0
         ;;
     --serve)
         # Serving-layer path: the daemon, the load generator, and
         # test_svc (admission/protocol units, the differential suite,
-        # fault injection, overload, soak), then a short steady
+        # a live session, fault injection, overload, soak), then a
+        # short steady
         # loadgen run gated against the committed latency baseline.
         echo "==> configure (${CMAKE_ARGS[*]})"
         cmake -S "$ROOT" -B "$BUILD_DIR" "${CMAKE_ARGS[@]}" >/dev/null
@@ -92,8 +90,6 @@ case "$MODE" in
             -- --no-print-directory
         echo "==> test_svc"
         (cd "$BUILD_DIR/tests" && ./test_svc)
-        echo "==> cryowire_serve --smoke"
-        (cd "$BUILD_DIR" && bench/cryowire_serve --smoke)
         echo "==> loadgen steady run vs BENCH_serve.json"
         SOCK="$BUILD_DIR/serve_check.sock"
         "$BUILD_DIR/bench/cryowire_serve" --socket "$SOCK" --quiet &
