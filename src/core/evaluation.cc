@@ -1,7 +1,6 @@
 #include "evaluation.hh"
 
 #include "util/diag.hh"
-#include "util/parallel.hh"
 
 namespace cryo::core
 {
@@ -21,29 +20,22 @@ Evaluator::evaluate(const std::vector<sys::SystemDesign> &designs,
     fatalIf(baseline_idx >= designs.size(), "baseline index out of range");
 
     SuiteResult out;
-    for (const auto &d : designs)
+    // One runSuite per design validates it and derives its
+    // interconnect invariants once for the whole suite.
+    std::vector<std::vector<sys::SimResult>> runs;
+    for (const auto &d : designs) {
         out.designs.push_back(d.name);
+        runs.push_back(sim_.runSuite(d, suite));
+    }
     for (const auto &w : suite)
         out.workloads.push_back(w.name);
-
-    // Every (workload, design) cell is an independent interval
-    // simulation; run them all concurrently and normalize afterwards
-    // (the simulator is stateless, so cell i's result is a pure
-    // function of its inputs and the matrix is deterministic at any
-    // job count).
-    const std::size_t cols = designs.size();
-    const auto time = parallelMap(
-        suite.size() * cols, [&](std::size_t k) {
-            return sim_.run(designs[k % cols], suite[k / cols])
-                .timePerInstr;
-        });
 
     out.perf.assign(suite.size(),
                     std::vector<double>(designs.size(), 0.0));
     for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-        const double base_time = time[wi * cols + baseline_idx];
-        for (std::size_t di = 0; di < cols; ++di)
-            out.perf[wi][di] = base_time / time[wi * cols + di];
+        const double base_time = runs[baseline_idx][wi].timePerInstr;
+        for (std::size_t di = 0; di < designs.size(); ++di)
+            out.perf[wi][di] = base_time / runs[di][wi].timePerInstr;
     }
 
     out.mean.assign(designs.size(), 0.0);

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/diag.hh"
-#include "util/parallel.hh"
 #include "util/validate.hh"
 
 namespace cryo::core
@@ -153,20 +152,16 @@ VoltageOptimizer::optimize(const pipeline::CoreConfig &core,
     if (!batch_vs.empty())
         model_.frequencyBatch(core.stages, temp, batch_vs, freqs);
 
-    // Evaluate the grid in parallel; results land in row-major index
-    // order, so the serial argmax below resolves score ties exactly
-    // like the original nested serial scan (first point wins).
-    const auto points = parallelMap(total, [&](std::size_t k) {
+    // Row-major (Vdd-major) scan; only a strictly greater score
+    // replaces the best, so score ties keep the first point.
+    VoltagePlanPoint best;
+    double best_score = -1.0;
+    for (std::size_t k = 0; k < total; ++k) {
         const auto f = freq_slot[k] == kNoFreq
             ? std::optional<double>{}
             : std::optional<double>{freqs[freq_slot[k]].value()};
-        return evaluateWithFrequency(core, baseline, temp_k, grid[k],
-                                     constraints, f);
-    });
-
-    VoltagePlanPoint best;
-    double best_score = -1.0;
-    for (const auto &p : points) {
+        const VoltagePlanPoint p = evaluateWithFrequency(
+            core, baseline, temp_k, grid[k], constraints, f);
         if (!p.feasible)
             continue;
         const double score = objective == VoltageObjective::Frequency

@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared netsim factories for the load-latency experiments (Figs 18,
- * 21, 25, 26) and the parallel-scaling bench: bind an analytic NoC
- * design point to a cycle-accurate network factory, and size the
- * measurement window for experiment runtime.
+ * 21, 25, 26): bind an analytic NoC design point to a cycle-accurate
+ * network factory, and size the measurement window for experiment
+ * runtime.
  */
 
 #ifndef CRYOWIRE_EXP_NETSIM_SUPPORT_HH

@@ -1,8 +1,8 @@
 /**
  * @file
  * The experiment registry: every figure/table reproduction registers
- * itself by name and tags, and the driver (or a per-figure shim)
- * selects from it.
+ * itself by name and tags, and the driver (cryowire_bench) selects
+ * from it.
  *
  * Registration is explicit - registerAll() calls one register function
  * per experiment family - rather than static-initializer magic, so a

@@ -24,7 +24,7 @@ struct RunOptions
 {
     std::vector<std::string> filters; ///< tags or name globs; empty=all
     std::uint64_t seed = 1;           ///< base seed for stochastic sims
-    int jobs = 1;          ///< concurrent experiments (1 = in order)
+    int jobs = 1;          ///< concurrent experiments (1 = one thread)
     std::string jsonPath;  ///< write results JSON here when non-empty
     std::string csvDir;    ///< write per-experiment CSVs when non-empty
     bool list = false;     ///< print the selection and exit

@@ -52,10 +52,12 @@ LoadPoint measureLoadPoint(const NetworkFactory &factory,
  * saturated one are still measured (the curve keeps its shape).
  *
  * Points are simulated concurrently (@p par controls the width; the
- * default follows CRYOWIRE_JOBS). Each point runs on a fresh network
- * from @p factory with an RNG stream seeded from (traffic.seed, point
- * index), so the curve is bitwise-identical at any job count. The
- * factory must be callable from multiple threads at once.
+ * default follows CRYOWIRE_JOBS), except inside another parallelFor
+ * body such as a runner experiment, where they run on the calling
+ * thread. Each point runs on a fresh network from @p factory with an
+ * RNG stream seeded from (traffic.seed, point index), so the curve is
+ * bitwise-identical at any job count. The factory must be callable
+ * from multiple threads at once.
  */
 std::vector<LoadPoint> sweepLoadLatency(const NetworkFactory &factory,
                                         TrafficSpec traffic,

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/diag.hh"
-#include "util/parallel.hh"
 #include "util/validate.hh"
 
 namespace cryo::sys
@@ -251,11 +250,11 @@ IntervalSimulator::runSuite(const SystemDesign &design,
     CRYO_CONTEXT("interval_sim suite: design=" + design.name);
     design.validate();
     const DesignInvariants inv = deriveInvariants(design);
-    // Independent simulations; index-ordered results keep downstream
-    // reductions bitwise-stable across job counts.
-    return parallelMap(suite.size(), [&](std::size_t i) {
-        return simulateOne(design, suite[i], inv);
-    });
+    std::vector<SimResult> out;
+    out.reserve(suite.size());
+    for (const Workload &w : suite)
+        out.push_back(simulateOne(design, w, inv));
+    return out;
 }
 
 double
@@ -275,7 +274,7 @@ IntervalSimulator::meanSpeedup(const SystemDesign &design,
     // One runSuite per design point validates and derives the design
     // invariants once for the whole suite; the per-index ratios and
     // ordered sum are the same arithmetic as per-workload speedup()
-    // calls, so the mean is bitwise-stable across job counts.
+    // calls, so the mean is bitwise-identical to them.
     const auto base = runSuite(baseline, suite);
     const auto opt = runSuite(design, suite);
     double sum = 0.0;

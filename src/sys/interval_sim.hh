@@ -105,12 +105,12 @@ class IntervalSimulator
     SimResult run(const SystemDesign &design, const Workload &w) const;
 
     /**
-     * Simulate a whole workload suite on one design.  Validates the
-     * design and derives its interconnect invariants (memory-system
-     * latency, saturation bandwidth, sync-op cost, queueing service
-     * time) once instead of once per workload; the independent fixed
-     * points then run in parallel.  Results are index-aligned with
-     * @p suite and bit-identical to per-workload run() calls.
+     * Simulate a whole workload suite on one design, on the calling
+     * thread.  Validates the design and derives its interconnect
+     * invariants (memory-system latency, saturation bandwidth, sync-op
+     * cost, queueing service time) once instead of once per workload.
+     * Results are index-aligned with @p suite and bit-identical to
+     * per-workload run() calls.
      */
     std::vector<SimResult> runSuite(const SystemDesign &design,
                                     const std::vector<Workload> &suite)
@@ -120,7 +120,8 @@ class IntervalSimulator
     double speedup(const SystemDesign &design,
                    const SystemDesign &baseline, const Workload &w) const;
 
-    /** Arithmetic-mean speed-up over a suite (Fig. 23/24 averages). */
+    /** Arithmetic-mean speed-up over a suite (Fig. 23/24 averages);
+     * both runSuite calls run on the calling thread. */
     double meanSpeedup(const SystemDesign &design,
                        const SystemDesign &baseline,
                        const std::vector<Workload> &suite) const;

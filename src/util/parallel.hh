@@ -10,13 +10,14 @@
  * output is bitwise-identical at any job count, including 1.
  *
  * Reductions that depend on order (argmax with first-wins ties, prefix
- * sums) are performed serially over the index-ordered results; see
- * VoltageOptimizer::optimize for the canonical pattern.
+ * sums) are performed serially over the index-ordered results.
  *
- * The job count resolves as: ParallelOptions::jobs if positive, else
- * the CRYOWIRE_JOBS environment variable, else the hardware thread
- * count. Nested calls run serially on the caller's thread, so a
- * parallel sweep may safely call code that is itself parallelized.
+ * The width resolves once per call: 1 on a pool worker or inside
+ * another call's body (only the outermost call fans out), else
+ * ParallelOptions::jobs if positive, else CRYOWIRE_JOBS, else the
+ * hardware thread count. Every width runs the same claim-and-drain
+ * loop on the caller and marks the region, so everything beneath a
+ * width-1 call stays on the caller's thread.
  */
 
 #ifndef CRYOWIRE_UTIL_PARALLEL_HH
@@ -64,28 +65,20 @@ struct ParallelState
 
 /**
  * Run body(i) for every i in [0, n), distributing chunks over the
- * shared pool; blocks until all indices completed. The first exception
- * thrown by any chunk is rethrown on the calling thread (remaining
- * chunks still run). @p body must be safe to invoke concurrently for
- * distinct indices.
+ * shared pool; blocks until all claimed chunks completed. The first
+ * exception thrown by any chunk stops further chunk claims and is
+ * rethrown on the calling thread. @p body must be safe to invoke
+ * concurrently for distinct indices.
  */
 template <typename Body>
 void
 parallelFor(std::size_t n, Body &&body, ParallelOptions opts = {})
 {
-    if (n == 0)
-        return;
-    const int jobs =
-        opts.jobs > 0 ? opts.jobs : ThreadPool::defaultThreads();
-    // Serial paths: width 1, a single index, or a nested call (pool
-    // workers must not block waiting on the queue they drain).
-    if (jobs <= 1 || n == 1 || ThreadPool::inWorker() ||
-        detail::tls_in_parallel_region) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-
+    // Only the outermost call fans out: a pool worker must not block
+    // on the queue it drains, and a nested call runs on its caller.
+    int jobs = 1;
+    if (!ThreadPool::inWorker() && !detail::tls_in_parallel_region)
+        jobs = opts.jobs > 0 ? opts.jobs : ThreadPool::defaultThreads();
     const std::size_t chunk = opts.chunk > 0
         ? opts.chunk
         : std::max<std::size_t>(
@@ -111,24 +104,28 @@ parallelFor(std::size_t n, Body &&body, ParallelOptions opts = {})
                 std::lock_guard<std::mutex> lock(state.mu);
                 if (!state.error)
                     state.error = std::current_exception();
+                // Stop further claims: every later one starts at n.
+                state.next.store(n);
             }
         }
         detail::tls_in_parallel_region = was_in_region;
     };
 
-    ThreadPool &pool = ThreadPool::global();
-    pool.ensureWorkers(jobs);
-    {
-        std::lock_guard<std::mutex> lock(state.mu);
-        state.pending = workers - 1;
-    }
-    for (int w = 0; w < workers - 1; ++w) {
-        pool.submit([&state, &drain] {
-            drain();
+    if (workers > 1) {
+        ThreadPool &pool = ThreadPool::global();
+        pool.ensureWorkers(jobs);
+        {
             std::lock_guard<std::mutex> lock(state.mu);
-            if (--state.pending == 0)
-                state.cv.notify_one();
-        });
+            state.pending = workers - 1;
+        }
+        for (int w = 0; w < workers - 1; ++w) {
+            pool.submit([&state, &drain] {
+                drain();
+                std::lock_guard<std::mutex> lock(state.mu);
+                if (--state.pending == 0)
+                    state.cv.notify_one();
+            });
+        }
     }
     drain(); // the caller works too instead of idling on the wait
     {

@@ -184,8 +184,13 @@ TEST(Runner, CheapExperimentPassesItsAnchors)
 TEST(Runner, ParallelJsonIsByteIdenticalToSerial)
 {
     RunOptions opts;
+    // The last four cover the loops beneath the runner that a width-1
+    // call keeps on its thread: sweepLoadLatency (fig18),
+    // Evaluator::evaluate/runSuite (fig23/24) and the voltage grid.
     opts.filters = {"fig20-bus-latency-breakdown", "table4-eval-setup",
-                    "fig05-wire-speedup"};
+                    "fig05-wire-speedup", "fig18-bus-load-latency",
+                    "fig23-system-performance", "fig24-spec-prefetch",
+                    "ablation-voltage"};
     opts.quiet = true;
 
     const auto render = [&](int jobs) {

@@ -1,15 +1,19 @@
 /**
  * @file
  * Tests for the parallel sweep engine: the thread pool, the chunked
- * deterministic parallelFor/parallelMap, and the bitwise determinism
- * of the netsim load-latency sweep across job counts.
+ * deterministic parallelFor/parallelMap and its one level of
+ * parallelism, and the bitwise determinism of the netsim load-latency
+ * sweep across job counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -101,6 +105,22 @@ TEST(Parallel, PropagatesFirstException)
                      },
                      par),
                  FatalError);
+
+    // At width 1 the claim loop runs in index order on the caller, so
+    // stopping claims at the first throw means no later index runs.
+    par.jobs = 1;
+    std::vector<std::size_t> ran;
+    EXPECT_THROW(parallelFor(
+                     64,
+                     [&ran](std::size_t i) {
+                         ran.push_back(i);
+                         fatalIf(i == 40, "injected failure");
+                     },
+                     par),
+                 FatalError);
+    ASSERT_FALSE(ran.empty());
+    EXPECT_EQ(ran.back(), 40u);
+    EXPECT_EQ(ran.size(), 41u);
 }
 
 TEST(Parallel, NestedCallsRunSerially)
@@ -116,6 +136,90 @@ TEST(Parallel, NestedCallsRunSerially)
         },
         par);
     EXPECT_EQ(calls.load(), 32);
+}
+
+/** Thread ids seen by a body, from any thread. */
+class ThreadIds
+{
+  public:
+    void
+    record()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ids_.insert(std::this_thread::get_id());
+    }
+
+    std::set<std::thread::id>
+    seen() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return ids_;
+    }
+
+  private:
+    mutable std::mutex mu_;
+    std::set<std::thread::id> ids_;
+};
+
+/** Long enough that a fanned-out call hands chunks to helpers. */
+void
+briefWork()
+{
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
+
+TEST(Parallel, WidthOneCallKeepsNestedCallsOnItsThread)
+{
+    ThreadIds ids;
+    ParallelOptions outer;
+    outer.jobs = 1;
+    ParallelOptions inner;
+    inner.jobs = 4;
+    inner.chunk = 1;
+    parallelFor(
+        4,
+        [&ids, inner](std::size_t) {
+            parallelFor(
+                16,
+                [&ids](std::size_t) {
+                    ids.record();
+                    briefWork();
+                },
+                inner);
+        },
+        outer);
+    const auto seen = ids.seen();
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(*seen.begin(), std::this_thread::get_id());
+}
+
+TEST(Parallel, PoolTaskRunsParallelForInline)
+{
+    // Serve's path: an eval task submitted straight to the pool. A
+    // worker that fanned out would wait on the queue it drains.
+    ThreadIds ids;
+    std::atomic<int> calls{0};
+    std::promise<std::thread::id> worker;
+    ThreadPool::global().submit([&] {
+        ParallelOptions par;
+        par.jobs = 4;
+        par.chunk = 1;
+        parallelFor(
+            16,
+            [&](std::size_t) {
+                ids.record();
+                ++calls;
+                briefWork();
+            },
+            par);
+        worker.set_value(std::this_thread::get_id());
+    });
+    const std::thread::id worker_id = worker.get_future().get();
+    EXPECT_NE(worker_id, std::this_thread::get_id());
+    EXPECT_EQ(calls.load(), 16);
+    const auto seen = ids.seen();
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(*seen.begin(), worker_id);
 }
 
 TEST(Rng, DerivedSeedsAreDeterministicAndDistinct)
