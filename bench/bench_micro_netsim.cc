@@ -7,6 +7,8 @@
  * cryowire-bench/1 JSON consumed by tools/bench_gate.py.
  */
 
+#include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,23 +54,40 @@ benchBusStep(micro::Harness &h, double rate)
              ns);
 }
 
+/**
+ * One router-network cycle per call under uniform 1-flit traffic, in
+ * ns per node. Generated packets are dropped while @p backlog_cap are
+ * in flight, so a saturated kernel's memory stays bounded however
+ * many cycles the harness runs.
+ */
 void
-benchMeshStep(micro::Harness &h, double rate)
+benchRouterStep(micro::Harness &h, const std::string &kernel,
+                const noc::NocConfig &cfg, double rate,
+                std::size_t backlog_cap)
 {
-    RouterNetwork net(
-        RouterNetConfig::fromConfig(designer().mesh(77.0, 1)));
+    RouterNetwork net(RouterNetConfig::fromConfig(cfg));
+    const int nodes = net.nodes();
     TrafficSpec tr;
     tr.injectionRate = rate;
-    TrafficGenerator gen(64, tr);
-    const double ns = h.time(64, [&] {
-        for (const Packet &p : gen.tick(net.now()))
-            net.inject(p);
+    TrafficGenerator gen(nodes, tr);
+    const double ns = h.time(static_cast<std::uint64_t>(nodes), [&] {
+        for (const Packet &p : gen.tick(net.now())) {
+            if (net.inFlight() < backlog_cap)
+                net.inject(p);
+        }
         net.step();
         net.delivered().clear();
         keep(net);
     });
-    h.record("mesh_step/rate=" + std::to_string(rate).substr(0, 5), 64,
-             ns);
+    h.record(kernel + "/rate=" + std::to_string(rate).substr(0, 5),
+             static_cast<std::uint64_t>(nodes), ns);
+}
+
+void
+benchMeshStep(micro::Harness &h, double rate)
+{
+    benchRouterStep(h, "mesh_step", designer().mesh(77.0, 1), rate,
+                    std::numeric_limits<std::size_t>::max());
 }
 
 void
@@ -93,6 +112,21 @@ main(int argc, char **argv)
     benchMeshStep(h, 0.010);
     benchMeshStep(h, 0.100);
     benchMeshStep(h, 0.300);
+    {
+        // Fig. 26's 256-core Mesh(1c) and FB(3c), at a low rate and
+        // past saturation (under this traffic FB saturates between
+        // 0.6 and 0.8), with at most 64 packets per node in flight.
+        const noc::NocDesigner d256{designer().technology(), 256};
+        const std::size_t cap = 64 * 256;
+        benchRouterStep(h, "mesh256_step", d256.mesh(77.0, 1), 0.010,
+                        cap);
+        benchRouterStep(h, "mesh256_step", d256.mesh(77.0, 1), 0.300,
+                        cap);
+        benchRouterStep(h, "fb256_step",
+                        d256.flattenedButterfly(77.0, 3), 0.010, cap);
+        benchRouterStep(h, "fb256_step",
+                        d256.flattenedButterfly(77.0, 3), 0.800, cap);
+    }
     benchArbiter(h, 16);
     benchArbiter(h, 64);
     benchArbiter(h, 256);

@@ -47,6 +47,7 @@ void
 BusNetwork::inject(const Packet &p)
 {
     fatalIf(p.src < 0 || p.src >= nodes_, "packet source out of range");
+    fatalIf(p.flits < 1, "packets carry at least one flit");
     Way &way = ways_[static_cast<std::size_t>(wayOf(p))];
     auto &q = way.queues[static_cast<std::size_t>(p.src)];
     PendingTx tx;

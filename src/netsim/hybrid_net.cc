@@ -40,9 +40,11 @@ HybridNetwork::inject(const Packet &p)
 {
     fatalIf(p.src < 0 || p.src >= nodes(), "source out of range");
     fatalIf(p.dst < 0 || p.dst >= nodes(), "destination out of range");
+    fatalIf(p.flits < 1, "packets carry at least one flit");
     Packet orig = p;
     orig.injected = now_;
-    origin_[p.id] = orig;
+    fatalIf(!origin_.emplace(p.id, orig).second,
+            "packet id already in flight");
     ++inFlightCount_;
 
     Packet local = p;

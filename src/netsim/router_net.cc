@@ -1,12 +1,47 @@
 #include "router_net.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/diag.hh"
 
 namespace cryo::netsim
 {
+
+namespace
+{
+
+/**
+ * Call @p visit(pos) for each bit set in the @p words -word set
+ * @p set, in increasing position order from @p start and then
+ * wrapping round to the positions below it, until @p visit returns
+ * true. Each word is read once before its bits are visited, so
+ * @p visit may clear or re-set the bit it was handed.
+ */
+template <class F>
+void
+visitFrom(const std::uint64_t *set, int words, int start, F &&visit)
+{
+    int w = start >> 6;
+    std::uint64_t bits = set[w] & (~std::uint64_t{0} << (start & 63));
+    for (int k = 0;;) {
+        while (bits != 0) {
+            const int pos = (w << 6) + std::countr_zero(bits);
+            bits &= bits - 1;
+            if (visit(pos))
+                return;
+        }
+        if (++k > words)
+            return;
+        w = w + 1 == words ? 0 : w + 1;
+        bits = set[w];
+        if (k == words) // back at the start word: only below start
+            bits &= (std::uint64_t{1} << (start & 63)) - 1;
+    }
+}
+
+} // namespace
 
 RouterNetConfig
 RouterNetConfig::fromConfig(const noc::NocConfig &cfg)
@@ -64,15 +99,42 @@ RouterNetwork::RouterNetwork(RouterNetConfig cfg) : cfg_(cfg)
     // queue: unbounded, latency accrues there under overload).
     injectQueueId_.resize(static_cast<std::size_t>(cfg_.cores));
     for (int n = 0; n < cfg_.cores; ++n) {
-        const int r = routerOf(n);
-        const int qid = static_cast<int>(queues_.size());
-        queues_.emplace_back(arena_);
-        queues_.back().capacity = 0;
-        inQueueIds_[static_cast<std::size_t>(r)].push_back(qid);
-        injectQueueId_[static_cast<std::size_t>(n)] = qid;
+        injectQueueId_[static_cast<std::size_t>(n)] =
+            addQueue(routerOf(n), 0);
     }
 
     rrPointer_.assign(links_.size(), 0);
+
+    // Routing is static: resolve every (router, destination router)
+    // pair once, to the candidate set a head bound there joins.
+    hopSet_.resize(static_cast<std::size_t>(routers_) *
+                   static_cast<std::size_t>(routers_));
+    for (int r = 0; r < routers_; ++r) {
+        for (int d = 0; d < routers_; ++d) {
+            const int lid = route(r, d);
+            hopSet_[static_cast<std::size_t>(r * routers_ + d)] =
+                lid < 0 ? ejectSet(r) : lid;
+        }
+    }
+
+    std::size_t widest = 0;
+    for (const auto &ids : inQueueIds_)
+        widest = std::max(widest, ids.size());
+    candWords_ = static_cast<int>((widest + 63) / 64);
+    cand_.assign((links_.size() + static_cast<std::size_t>(routers_)) *
+                     static_cast<std::size_t>(candWords_),
+                 0);
+}
+
+int
+RouterNetwork::addQueue(int router, int capacity)
+{
+    auto &ids = inQueueIds_[static_cast<std::size_t>(router)];
+    const int qid = static_cast<int>(queues_.size());
+    queues_.emplace_back(arena_, capacity, router,
+                         static_cast<int>(ids.size()));
+    ids.push_back(qid);
+    return qid;
 }
 
 int
@@ -106,16 +168,10 @@ RouterNetwork::addLink(int from, int to, int cycles)
                          -1);
     // One buffered queue per VC at the downstream input.
     l.toQueueBase = static_cast<int>(queues_.size());
-    for (int v = 0; v < cfg_.virtualChannels; ++v) {
-        queues_.emplace_back(arena_);
-        queues_.back().capacity = cfg_.vcBufferFlits;
-        inQueueIds_[static_cast<std::size_t>(to)].push_back(
-            l.toQueueBase + v);
-    }
-    const int lid = static_cast<int>(links_.size());
-    outLinks_[static_cast<std::size_t>(from)].push_back(lid);
-    linkIndex_[(static_cast<std::uint64_t>(from) << 32) |
-               static_cast<std::uint32_t>(to)] = lid;
+    for (int v = 0; v < cfg_.virtualChannels; ++v)
+        addQueue(to, cfg_.vcBufferFlits);
+    outLinks_[static_cast<std::size_t>(from)].push_back(
+        static_cast<int>(links_.size()));
     links_.push_back(std::move(l));
 }
 
@@ -187,11 +243,11 @@ RouterNetwork::route(int router, int dst_router) const
       default:
         panic("unsupported topology in route()");
     }
-    const auto it = linkIndex_.find(
-        (static_cast<std::uint64_t>(router) << 32) |
-        static_cast<std::uint32_t>(next));
-    fatalIf(it == linkIndex_.end(), "route produced a missing link");
-    return it->second;
+    for (int lid : outLinks_[static_cast<std::size_t>(router)]) {
+        if (links_[static_cast<std::size_t>(lid)].to == next)
+            return lid;
+    }
+    fatal("route produced a missing link");
 }
 
 void
@@ -200,32 +256,62 @@ RouterNetwork::inject(const Packet &p)
     fatalIf(p.src < 0 || p.src >= cfg_.cores, "source out of range");
     fatalIf(p.dst < 0 || p.dst >= cfg_.cores, "destination out of range");
     fatalIf(p.id == 0, "packet ids must be non-zero");
+    fatalIf(p.flits < 1, "packets carry at least one flit");
     Packet copy = p;
     copy.injected = now_;
-    active_[copy.id] = copy;
+    fatalIf(!active_.emplace(copy.id, copy).second,
+            "packet id already in flight");
     auto &q =
         queues_[static_cast<std::size_t>(injectQueueId_[
             static_cast<std::size_t>(p.src)])];
+    const bool was_empty = q.q.empty();
     const int vc = flowVc(p.src, p.dst);
     for (int s = 0; s < p.flits; ++s) {
         // The NI presents flits back-to-back after the local router's
         // pipeline latency.
-        q.q.push_back({copy.id, s, s == 0, s == p.flits - 1, vc,
-                       now_ + static_cast<Cycle>(cfg_.routerCycles + s)});
+        q.q.push_back({copy.id,
+                       now_ + static_cast<Cycle>(cfg_.routerCycles + s),
+                       routerOf(p.dst), p.dst % cfg_.concentration, vc,
+                       s == 0, s == p.flits - 1});
         q.reserved += 1;
     }
+    if (was_empty)
+        enlistHead(q);
 }
 
 void
-RouterNetwork::serviceLink(Link &l)
+RouterNetwork::enlistHead(const InQueue &q)
 {
-    auto &in_ids = inQueueIds_[static_cast<std::size_t>(l.from)];
-    const int lid = static_cast<int>(&l - links_.data());
+    if (q.q.empty())
+        return;
+    const int set = hopSet_[static_cast<std::size_t>(
+        q.router * routers_ + q.q.front().dstRouter)];
+    cand_[static_cast<std::size_t>(set * candWords_ + (q.pos >> 6))] |=
+        std::uint64_t{1} << (q.pos & 63);
+}
 
-    auto try_send = [&](int qid) -> bool {
+void
+RouterNetwork::popHead(InQueue &q, int set)
+{
+    q.q.pop_front();
+    q.reserved -= 1;
+    cand_[static_cast<std::size_t>(set * candWords_ + (q.pos >> 6))] &=
+        ~(std::uint64_t{1} << (q.pos & 63));
+    enlistHead(q);
+}
+
+void
+RouterNetwork::serviceLink(int lid)
+{
+    Link &l = links_[static_cast<std::size_t>(lid)];
+    const auto &in_ids = inQueueIds_[static_cast<std::size_t>(l.from)];
+    int &ptr = rrPointer_[static_cast<std::size_t>(lid)];
+
+    // Every candidate's head routes out through this link, so only the
+    // VC, readiness and credit checks remain.
+    auto try_send = [&](int pos) -> bool {
+        const int qid = in_ids[static_cast<std::size_t>(pos)];
         InQueue &q = queues_[static_cast<std::size_t>(qid)];
-        if (q.q.empty())
-            return false;
         FlitEntry &f = q.q.front();
         if (f.readyAt > now_)
             return false;
@@ -236,12 +322,8 @@ RouterNetwork::serviceLink(Link &l)
             // (from the same input queue) may use it.
             if (f.pkt != l.lockedPkt[vc] || qid != l.lockedQueue[vc])
                 return false;
-        } else {
-            if (!f.head)
-                return false;
-            const int dst_router = routerOf(active_.at(f.pkt).dst);
-            if (route(l.from, dst_router) != lid)
-                return false;
+        } else if (!f.head) {
+            return false;
         }
 
         InQueue &dst_q =
@@ -267,23 +349,17 @@ RouterNetwork::serviceLink(Link &l)
             l.lockedPkt[vc] = 0;
             l.lockedQueue[vc] = -1;
         }
-        q.q.pop_front();
-        q.reserved -= 1;
+        popHead(q, lid);
+        const int next = pos + 1;
+        ptr = next == static_cast<int>(in_ids.size()) ? 0 : next;
         return true;
     };
 
     // One flit per cycle crosses the physical channel; round-robin
     // across this router's input queues (covering all VCs) arbitrates
     // both switch allocation and VC interleaving.
-    const int n = static_cast<int>(in_ids.size());
-    int &ptr = rrPointer_[static_cast<std::size_t>(lid)];
-    for (int k = 0; k < n; ++k) {
-        const int qid = in_ids[static_cast<std::size_t>((ptr + k) % n)];
-        if (try_send(qid)) {
-            ptr = (ptr + k + 1) % n;
-            return;
-        }
-    }
+    visitFrom(&cand_[static_cast<std::size_t>(lid * candWords_)],
+              candWords_, ptr, try_send);
 }
 
 void
@@ -291,31 +367,34 @@ RouterNetwork::serviceEjection(int r)
 {
     // One ejection port per router-local node; each can sink one flit
     // per cycle.
-    auto &in_ids = inQueueIds_[static_cast<std::size_t>(r)];
+    const int set = ejectSet(r);
+    const std::uint64_t *members =
+        &cand_[static_cast<std::size_t>(set * candWords_)];
+    if (std::all_of(members, members + candWords_,
+                    [](std::uint64_t w) { return w == 0; }))
+        return;
+    const auto &in_ids = inQueueIds_[static_cast<std::size_t>(r)];
     std::vector<bool> &port_used = ejectScratch_;
     port_used.assign(static_cast<std::size_t>(cfg_.concentration), false);
-    for (int qid : in_ids) {
+    visitFrom(members, candWords_, 0, [&](int pos) {
+        const int qid = in_ids[static_cast<std::size_t>(pos)];
         InQueue &q = queues_[static_cast<std::size_t>(qid)];
-        if (q.q.empty())
-            continue;
-        FlitEntry &f = q.q.front();
+        const FlitEntry &f = q.q.front();
         if (f.readyAt > now_)
-            continue;
-        Packet &pkt = active_.at(f.pkt);
-        if (routerOf(pkt.dst) != r)
-            continue;
-        const int port = pkt.dst % cfg_.concentration;
-        if (port_used[static_cast<std::size_t>(port)])
-            continue;
-        port_used[static_cast<std::size_t>(port)] = true;
+            return false;
+        const auto port = static_cast<std::size_t>(f.dstPort);
+        if (port_used[port])
+            return false;
+        port_used[port] = true;
         if (f.tail) {
-            pkt.delivered = now_;
-            delivered_.push_back(pkt);
-            active_.erase(f.pkt);
+            const auto it = active_.find(f.pkt);
+            it->second.delivered = now_;
+            delivered_.push_back(it->second);
+            active_.erase(it);
         }
-        q.q.pop_front();
-        q.reserved -= 1;
-    }
+        popHead(q, set);
+        return false;
+    });
 }
 
 void
@@ -328,8 +407,10 @@ RouterNetwork::step()
     std::size_t keep = 0;
     for (auto &arrival : inFlight_) {
         if (arrival.at <= now_) {
-            queues_[static_cast<std::size_t>(arrival.queue)].q.push_back(
-                arrival.flit);
+            InQueue &q = queues_[static_cast<std::size_t>(arrival.queue)];
+            q.q.push_back(arrival.flit);
+            if (q.q.size() == 1)
+                enlistHead(q);
         } else {
             inFlight_[keep++] = arrival;
         }
@@ -341,9 +422,9 @@ RouterNetwork::step()
     for (int r = 0; r < routers_; ++r)
         serviceEjection(r);
 
-    // 3. Switch allocation per output link.
-    for (Link &l : links_)
-        serviceLink(l);
+    // 3. Switch allocation per output link, in id order.
+    for (int lid = 0; lid < static_cast<int>(links_.size()); ++lid)
+        serviceLink(lid);
 
     ++now_;
 }

@@ -13,6 +13,27 @@
  * depth (1 or 3 cycles) and the per-link traversal cycles come from
  * the analytic NoC config, keeping the simulator and the zero-load
  * model consistent.
+ *
+ * Arbitration contract, per cycle:
+ *  - flits due this cycle land in their VC queues first;
+ *  - ejection runs before switching: each router visits its input
+ *    queues in position order and sinks at most one flit per local
+ *    node, so slots freed now are usable next cycle, not this one;
+ *  - output links are then serviced in link-id order, each moving at
+ *    most one flit: the first input queue, in round-robin order from
+ *    the link's pointer, whose ready head may use the link (it routes
+ *    there, holds or may take the VC, and has a downstream credit);
+ *  - a queue popped by an earlier link may offer its next head to a
+ *    later link in the same cycle;
+ *  - the pointer becomes the winner's position + 1, mod the router's
+ *    input-queue count.
+ *
+ * Routing is static, so every head has exactly one place it can
+ * leave by: one output link, or ejection at its destination router.
+ * Each router keeps, per output link and for ejection, the set of
+ * input-queue positions whose head goes there, updated whenever a head
+ * changes. Links and ejection visit only their own candidates, so a
+ * cycle costs in proportion to the queued heads, not links x queues.
  */
 
 #ifndef CRYOWIRE_NETSIM_ROUTER_NET_HH
@@ -69,20 +90,27 @@ class RouterNetwork : public Network
     struct FlitEntry
     {
         std::uint64_t pkt;
-        int seq;
+        Cycle readyAt;
+        int dstRouter; ///< the destination node's router
+        int dstPort;   ///< and its ejection port there
+        int vc;        ///< virtual channel of the flow
         bool head;
         bool tail;
-        int vc; ///< virtual channel of the flow
-        Cycle readyAt;
     };
 
     struct InQueue
     {
         SlidingQueue<FlitEntry> q; ///< contiguous, arena-backed
         int reserved = 0;          ///< occupied + in-flight slots
-        int capacity = 0;          ///< 0 = unbounded (NI source queues)
+        int capacity;              ///< 0 = unbounded (NI source queues)
+        int router;                ///< router this queue feeds
+        int pos;                   ///< index in inQueueIds_[router]
 
-        explicit InQueue(MonotonicArena &arena) : q(arena) {}
+        InQueue(MonotonicArena &arena, int cap, int router_id,
+                int position)
+            : q(arena), capacity(cap), router(router_id), pos(position)
+        {
+        }
     };
 
     struct Link
@@ -110,15 +138,29 @@ class RouterNetwork : public Network
     int routerAt(int x, int y) const { return y * gridSide_ + x; }
 
     /** Output link id for the next hop toward @p dst_router; -1 if
-     * the packet ejects here. */
+     * the packet ejects here. Only the constructor calls it. */
     int route(int router, int dst_router) const;
 
     void buildMeshLinks(int spacing_hops);
     void buildButterflyLinks(int spacing_hops);
     void addLink(int from, int to, int cycles);
+    /** Add an input queue at @p router; returns its id. */
+    int addQueue(int router, int capacity);
 
-    /** Try to advance one flit through output link @p l. */
-    void serviceLink(Link &l);
+    /** The candidate set of router @p r's ejection port. */
+    int ejectSet(int r) const
+    {
+        return static_cast<int>(links_.size()) + r;
+    }
+
+    /** Put @p q's head, if any, into the set of where it leaves by. */
+    void enlistHead(const InQueue &q);
+
+    /** Pop @p q's head, a member of @p set, and enlist the next one. */
+    void popHead(InQueue &q, int set);
+
+    /** Try to advance one flit through output link @p lid. */
+    void serviceLink(int lid);
 
     /** Try to eject one flit at router @p r for each local node. */
     void serviceEjection(int r);
@@ -140,9 +182,18 @@ class RouterNetwork : public Network
     std::vector<InQueue> queues_;
     std::vector<int> injectQueueId_;             ///< per node
     std::vector<int> rrPointer_;                 ///< per link, RR state
+    /**
+     * [router x dstRouter] -> the set a head there joins: its output
+     * link id, or ejectSet(router) at the destination.
+     */
+    std::vector<int> hopSet_;
+    /**
+     * Candidate sets, one per link then one per router's ejection:
+     * candWords_ words each, bit i = input-queue position i.
+     */
+    std::vector<std::uint64_t> cand_;
+    int candWords_ = 1;
     std::unordered_map<std::uint64_t, Packet> active_;
-    /** adjacency: (from, to) -> link id. */
-    std::unordered_map<std::uint64_t, int> linkIndex_;
     std::vector<Arrival, ArenaAllocator<Arrival>> inFlight_{
         ArenaAllocator<Arrival>(arena_)};
     /** Per-cycle ejection-port mask, reused across cycles. */

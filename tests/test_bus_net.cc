@@ -234,8 +234,15 @@ TEST(BusNet, RejectsBadConfigs)
     bad.broadcastCycles = 0;
     EXPECT_THROW(BusNetwork(16, bad), FatalError);
     EXPECT_THROW(BusNetwork(1, cryoBusTiming()), FatalError);
+}
+
+TEST(BusNet, RejectsBadPackets)
+{
     BusNetwork net(16, cryoBusTiming());
     EXPECT_THROW(net.inject(makePacket(1, 99, 3)), FatalError);
+    EXPECT_THROW(net.inject(makePacket(1, 0, 3, 0)), FatalError);
+    EXPECT_THROW(net.inject(makePacket(1, 0, 3, -1)), FatalError);
+    EXPECT_EQ(net.inFlight(), 0u);
 }
 
 TEST(BusNet, FromConfigFoldsControlIntoGrant)

@@ -235,6 +235,35 @@ TEST(Hybrid, MeshLatencySymmetric)
     EXPECT_LT(net.meshLatency(0, 0), net.meshLatency(0, 3));
 }
 
+TEST(Hybrid, RejectsBadPackets)
+{
+    static Technology tech = Technology::freePdk45();
+    cryo::noc::NocDesigner designer{tech};
+    HybridConfig hc;
+    hc.busTiming = BusTiming::fromConfig(designer.cryoBus(), 1);
+    HybridNetwork net(hc);
+    Packet p;
+    p.id = 1;
+    p.src = 3;
+    p.dst = 200;
+    p.flits = 0;
+    EXPECT_THROW(net.inject(p), FatalError);
+    EXPECT_EQ(net.inFlight(), 0u);
+    p.flits = 1;
+    net.inject(p);
+    // A second packet under an id still in flight is refused.
+    Packet dup = p;
+    dup.src = 70;
+    dup.dst = 9;
+    EXPECT_THROW(net.inject(dup), FatalError);
+    EXPECT_EQ(net.inFlight(), 1u);
+    for (int c = 0; c < 200 && net.delivered().empty(); ++c)
+        net.step();
+    ASSERT_EQ(net.delivered().size(), 1u);
+    EXPECT_EQ(net.delivered()[0].src, 3);
+    EXPECT_EQ(net.delivered()[0].dst, 200);
+}
+
 TEST(Hybrid, SustainsParallelClusterTraffic)
 {
     // Four clusters with local traffic saturate at ~4 grants/cycle.

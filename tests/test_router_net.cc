@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 
@@ -12,6 +13,7 @@
 #include "netsim/router_net.hh"
 #include "noc/noc_config.hh"
 #include "util/diag.hh"
+#include "util/hash.hh"
 #include "util/rng.hh"
 
 namespace
@@ -229,6 +231,151 @@ TEST(RouterNet, RejectsBadPackets)
     EXPECT_THROW(net.inject(makePacket(0, 0, 5)), FatalError); // id 0
     EXPECT_THROW(net.inject(makePacket(1, -1, 5)), FatalError);
     EXPECT_THROW(net.inject(makePacket(1, 0, 64)), FatalError);
+    EXPECT_THROW(net.inject(makePacket(1, 0, 5, 0)), FatalError);
+    EXPECT_THROW(net.inject(makePacket(1, 0, 5, -2)), FatalError);
+    // An id may not be reused while its packet is in flight.
+    net.inject(makePacket(7, 0, 5));
+    EXPECT_THROW(net.inject(makePacket(7, 3, 9)), FatalError);
+    EXPECT_EQ(net.inFlight(), 1u);
+    for (int c = 0; c < 100 && net.delivered().empty(); ++c)
+        net.step();
+    ASSERT_EQ(net.delivered().size(), 1u);
+    EXPECT_EQ(net.delivered()[0].dst, 5);
+    net.inject(makePacket(7, 3, 9)); // delivered ids are free again
+}
+
+/** What a DigestingNetwork saw, for the test to fold and compare. */
+struct DeliveryTrace
+{
+    cryo::Fnv1a digest; ///< (id, src, dst, injected, delivered) each
+    Cycle now = 0;
+    std::size_t inFlight = 0;
+};
+
+/**
+ * A RouterNetwork that folds every delivered packet, in delivery
+ * order, into a DeliveryTrace, and keeps its latest now() and
+ * inFlight() there.
+ */
+class DigestingNetwork : public Network
+{
+  public:
+    DigestingNetwork(const RouterNetConfig &cfg, DeliveryTrace &trace)
+        : net_(cfg), trace_(trace)
+    {
+    }
+
+    void
+    inject(const Packet &p) override
+    {
+        net_.inject(p);
+        trace_.inFlight = net_.inFlight();
+    }
+
+    void
+    step() override
+    {
+        net_.step();
+        for (const Packet &p : net_.drainDelivered()) {
+            trace_.digest.u64(p.id).i64(p.src).i64(p.dst).u64(
+                p.injected).u64(p.delivered);
+            delivered_.push_back(p);
+        }
+        trace_.now = net_.now();
+        trace_.inFlight = net_.inFlight();
+    }
+
+    Cycle now() const override { return net_.now(); }
+    int nodes() const override { return net_.nodes(); }
+    std::size_t inFlight() const override { return net_.inFlight(); }
+
+  private:
+    RouterNetwork net_;
+    DeliveryTrace &trace_;
+};
+
+TEST(RouterNet, DeliveryTraceDigestsArePinned)
+{
+    // The exact flit schedule - arbitration order, wormhole locks,
+    // credits - pinned through measureLoadPoint's request/response
+    // loop, once below and once past saturation per configuration.
+    // Any change to the router's cycle-level behaviour moves a digest.
+    static Technology tech = Technology::freePdk45();
+    const cryo::noc::NocDesigner d64{tech, 64};
+    const cryo::noc::NocDesigner d256{tech, 256};
+    const RouterNetConfig mesh64 =
+        RouterNetConfig::fromConfig(d64.mesh(77.0, 1));
+    const RouterNetConfig cmesh64 =
+        RouterNetConfig::fromConfig(d64.cmesh(77.0, 3));
+    const RouterNetConfig fb64 =
+        RouterNetConfig::fromConfig(d64.flattenedButterfly(77.0, 3));
+    const RouterNetConfig mesh256 =
+        RouterNetConfig::fromConfig(d256.mesh(77.0, 1));
+    const RouterNetConfig fb256 =
+        RouterNetConfig::fromConfig(d256.flattenedButterfly(77.0, 3));
+    RouterNetConfig fb256_8vc = fb256;
+    fb256_8vc.virtualChannels = 8;
+
+    struct Case
+    {
+        const char *name;
+        RouterNetConfig cfg;
+        TrafficPattern pattern;
+        double rate;
+        std::uint64_t digest;
+    };
+    using enum TrafficPattern;
+    const Case cases[] = {
+        {"mesh64-1c low", mesh64, UniformRandom, 0.01,
+         0x255240c1f9b63d8cull},
+        {"mesh64-1c sat", mesh64, Transpose, 0.2,
+         0xcbafcc2cf2c8cf22ull},
+        {"cmesh64-3c low", cmesh64, Hotspot, 0.01,
+         0xf0fb7215ac4b8ecdull},
+        {"cmesh64-3c sat", cmesh64, BitReverse, 0.2,
+         0x30fbc3d001ed0219ull},
+        {"fb64-3c low", fb64, UniformRandom, 0.02,
+         0x39fd4ac16f74735cull},
+        {"fb64-3c sat", fb64, Hotspot, 0.3,
+         0x7b6c2da40d9df2a7ull},
+        {"mesh256-1c low", mesh256, UniformRandom, 0.005,
+         0x4eaa8269a75ed51eull},
+        {"mesh256-1c sat", mesh256, Burst, 0.1,
+         0xab67c43495fedd6dull},
+        {"fb256-3c low", fb256, Transpose, 0.01,
+         0x8b5929d7bd1a8e49ull},
+        {"fb256-3c sat", fb256, Hotspot, 0.3,
+         0xabf202ec4a2f73a3ull},
+        {"fb256-3c-8vc low", fb256_8vc, UniformRandom, 0.01,
+         0xe6374519196068fcull},
+        {"fb256-3c-8vc sat", fb256_8vc, BitReverse, 0.3,
+         0x519df64610ddabeaull},
+    };
+
+    for (const Case &c : cases) {
+        // 256-node cases get a shorter window: a few hundred cycles
+        // past saturation already back up every queue.
+        MeasureOpts opts;
+        opts.warmupCycles = c.cfg.cores > 64 ? 100 : 300;
+        opts.measureCycles = c.cfg.cores > 64 ? 500 : 1200;
+        TrafficSpec tr;
+        tr.pattern = c.pattern;
+        tr.injectionRate = c.rate;
+        tr.responseFlits = 5;
+        tr.seed = 7;
+        DeliveryTrace trace;
+        measureLoadPoint(
+            [&c, &trace]() -> std::unique_ptr<Network> {
+                return std::make_unique<DigestingNetwork>(c.cfg, trace);
+            },
+            tr, opts);
+        const std::uint64_t digest =
+            trace.digest.u64(trace.now).u64(trace.inFlight).digest();
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llx",
+                      static_cast<unsigned long long>(digest));
+        EXPECT_EQ(digest, c.digest) << c.name << ": " << hex;
+    }
 }
 
 TEST(RouterNet, RejectsUnsupportedTopology)

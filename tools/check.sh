@@ -2,7 +2,8 @@
 # Local static-analysis gate - the same checks CI runs.
 #
 #   tools/check.sh           warning-clean -Werror build + full ctest
-#                            + cryowire_lint (+ clang-tidy and
+#                            + cryowire_lint + every experiment's
+#                            anchor gate (+ clang-tidy and
 #                            clang-format when installed)
 #   tools/check.sh --lint    cryowire_lint only: the full rule set,
 #                            plus the JSON findings and dependency
@@ -177,11 +178,11 @@ python3 "$ROOT/tools/cryowire_lint" --root "$ROOT" \
     --deps-report "$BUILD_DIR/lint_deps.md"
 
 if [[ -z "$MODE" ]]; then
-    # The smoke subset covers every anchored metric except the four
-    # long netsim sweeps (those run in CI's experiments job); a miss
-    # exits non-zero and fails the gate.
+    # Every registered experiment, so every paper anchor, including
+    # the three long router-network sweeps (fig21, fig25, fig26); a
+    # miss exits non-zero and fails the gate.
     echo "==> experiments (paper-anchor gate)"
-    "$BUILD_DIR/bench/cryowire_bench" --filter smoke --quiet \
+    "$BUILD_DIR/bench/cryowire_bench" --jobs "$(nproc)" --quiet \
         --json "$BUILD_DIR/results.json"
 
     if command -v clang-tidy >/dev/null 2>&1; then
