@@ -2,7 +2,7 @@
  * @file
  * Microbenchmarks of the cycle-accurate simulator kernels: bus
  * stepping, router stepping, arbitration, and traffic generation.
- * These exercise the arena-backed queue paths; there is no separate
+ * These exercise the heap-backed sliding queues; there is no separate
  * batch variant, so the gate tracks scalar ns/op only.  Emits the
  * cryowire-bench/1 JSON consumed by tools/bench_gate.py.
  */

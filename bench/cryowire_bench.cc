@@ -114,12 +114,13 @@ main(int argc, char **argv)
             cli::number("--seed", "N", &opts.seed, 0, UINT64_MAX,
                         "base seed for stochastic simulations"),
             cli::number("--jobs", "N", &opts.jobs, 1, ThreadPool::kMaxJobs,
-                        "experiments run concurrently, each on one\n"
-                        "thread; 1 runs everything on one thread.\n"
+                        "netsim cells, then experiments, run\n"
+                        "concurrently, each on one thread; 1 runs\n"
+                        "everything on one thread.\n"
                         "Results are byte-identical at any job count"),
             cli::number("--watchdog", "S", &opts.watchdogSeconds, 0.0, 1e6,
-                        "flag experiments still running after S seconds "
-                        "on stderr; 0 disables"),
+                        "flag an experiment whose netsim cell or hook "
+                        "runs past S seconds on stderr; 0 disables"),
             cli::toggle("--quiet", &opts.quiet,
                         "suppress the per-experiment text report"),
         }};

@@ -3,18 +3,23 @@
  * Cycle-accurate network experiments: the bus load-latency curves
  * (Fig. 18), the 77 K NoC comparison (Fig. 21), adversarial traffic
  * (Fig. 25), and the 256-core hybrid (Fig. 26).
+ *
+ * Each figure keeps one design list. Its cell function lists the
+ * netsim cells of those designs, which the runner simulates in its
+ * pool; its hook lists the same cells, reads their results through
+ * Context::measure, and builds the tables from them by index.
  */
 
 #include <algorithm>
-#include <memory>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exp/netsim_support.hh"
 #include "exp/registry.hh"
-#include "netsim/hybrid_net.hh"
 #include "sys/workload.hh"
+#include "util/rng.hh"
 
 namespace cryo::exp
 {
@@ -24,39 +29,72 @@ namespace
 
 using namespace cryo::netsim;
 
+/** A bus of Fig. 18 and the bracket of its saturation search. */
+struct Fig18Design
+{
+    NetworkSpec net;
+    double hi;
+    double tolerance;
+};
+
+constexpr double kFig18Rates[] = {0.0005, 0.001, 0.002, 0.003,
+                                  0.004, 0.006, 0.008, 0.012};
+
+/** Fig. 18's two buses: 300 K, then 77 K. */
+std::vector<Fig18Design>
+fig18Designs(const Context &ctx)
+{
+    noc::NocDesigner designer{ctx.technology()};
+    return {{busSpec(designer.sharedBus300()), 0.02, 0.0002},
+            {busSpec(designer.sharedBus77()), 0.03, 0.0003}};
+}
+
+/** Each bus's sweep points (seeded by point index, as
+ * sweepLoadLatency seeds them), then each bus's saturation search. */
+std::vector<Cell>
+fig18Cells(const Context &ctx)
+{
+    const TrafficSpec tr = ctx.traffic();
+    const auto opts = measureOpts();
+    const auto designs = fig18Designs(ctx);
+    std::vector<Cell> cells;
+    for (const auto &d : designs) {
+        for (std::size_t i = 0; i < std::size(kFig18Rates); ++i) {
+            TrafficSpec spec = tr;
+            spec.injectionRate = kFig18Rates[i];
+            spec.seed = Rng::deriveSeed(tr.seed, i);
+            cells.push_back(Cell::loadPoint(d.net, spec, opts));
+        }
+    }
+    for (const auto &d : designs)
+        cells.push_back(
+            Cell::saturation(d.net, tr, d.hi, d.tolerance, opts));
+    return cells;
+}
+
 /** Fig. 18: Shared-bus load-latency at 300 K and 77 K. */
 void
 runFig18(const Context &ctx, ExperimentResult &r)
 {
-    noc::NocDesigner designer{ctx.technology()};
-
-    const std::vector<double> rates = {0.0005, 0.001, 0.002, 0.003,
-                                       0.004, 0.006, 0.008, 0.012};
-    const TrafficSpec tr = ctx.traffic();
-    const auto opts = measureOpts();
+    const auto res = ctx.measure(fig18Cells(ctx));
+    const std::size_t n = std::size(kFig18Rates);
 
     Table &t = r.table({"rate (req/node/cyc)", "300K bus latency",
                         "77K bus latency"});
-    const auto c300 = sweepLoadLatency(
-        busFactory(designer.sharedBus300()), tr, rates, opts);
-    const auto c77 = sweepLoadLatency(
-        busFactory(designer.sharedBus77()), tr, rates, opts);
-    for (std::size_t i = 0; i < rates.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         auto cell = [](const LoadPoint &p) {
             return p.saturated ? std::string("saturated")
                                : Table::num(p.avgLatency, 1);
         };
-        t.addRow({Table::num(rates[i], 4), cell(c300[i]),
-                  cell(c77[i])});
+        t.addRow({Table::num(kFig18Rates[i], 4), cell(res[i].point),
+                  cell(res[n + i].point)});
     }
 
     Table &bands = r.table({"workload band", "lo", "hi",
                             "covered by 300K bus",
                             "covered by 77K bus"});
-    const double sat300 = saturationRate(
-        busFactory(designer.sharedBus300()), tr, 0.02, 0.0002, opts);
-    const double sat77 = saturationRate(
-        busFactory(designer.sharedBus77()), tr, 0.03, 0.0003, opts);
+    const double sat300 = res[2 * n].value;
+    const double sat77 = res[2 * n + 1].value;
     for (const auto &b : sys::injectionBands()) {
         bands.addRow({b.suite, Table::num(b.lo, 4),
                       Table::num(b.hi, 4),
@@ -78,32 +116,34 @@ runFig18(const Context &ctx, ExperimentResult &r)
         "rates - the bus must get faster still, hence CryoBus.");
 }
 
-/** Fig. 21: 77 K load-latency across NoC designs. */
-void
-runFig21(const Context &ctx, ExperimentResult &r)
+/** A Fig. 21 design: its network, clock and traffic. */
+struct Fig21Design
+{
+    std::string label;
+    NetworkSpec net;
+    double clock;   ///< Hz, to convert cycles -> ns
+    double rateRef; ///< its cycle rate per 4 GHz-cycle unit
+    TrafficSpec traffic;
+};
+
+constexpr double kFig21Rates[] = {0.006, 0.012, 0.02};
+/** Cells per Fig. 21 design: zero-load, the three rates, saturation. */
+constexpr std::size_t kFig21CellsPerDesign = 5;
+
+std::vector<Fig21Design>
+fig21Designs(const Context &ctx)
 {
     noc::NocDesigner designer{ctx.technology()};
-    const auto opts = measureOpts();
-
-    struct Design
-    {
-        std::string label;
-        NetworkFactory factory;
-        double clock;   ///< Hz, to convert cycles -> ns
-        double rateRef; ///< its cycle rate per 4 GHz-cycle unit
-        TrafficSpec traffic;
-    };
-    std::vector<Design> designs;
+    std::vector<Fig21Design> designs;
     auto add_router = [&](const noc::NocConfig &cfg) {
-        designs.push_back({cfg.name(), routerFactory(cfg),
+        designs.push_back({cfg.name(), routerSpec(cfg),
                            cfg.clockFreq(), cfg.clockFreq() / 4.0e9,
                            ctx.directoryTraffic()});
     };
     auto add_bus = [&](const noc::NocConfig &cfg, int ways,
                        const std::string &label) {
-        designs.push_back({label, busFactory(cfg, ways),
-                           cfg.clockFreq(), cfg.clockFreq() / 4.0e9,
-                           ctx.traffic()});
+        designs.push_back({label, busSpec(cfg, ways), cfg.clockFreq(),
+                           cfg.clockFreq() / 4.0e9, ctx.traffic()});
     };
     add_router(designer.mesh(77.0, 1));
     add_router(designer.mesh(77.0, 3));
@@ -114,29 +154,51 @@ runFig21(const Context &ctx, ExperimentResult &r)
     add_bus(designer.sharedBus77(), 1, "77K Shared bus");
     add_bus(designer.cryoBus(), 1, "CryoBus");
     add_bus(designer.cryoBus(), 2, "CryoBus (2-way)");
+    return designs;
+}
+
+std::vector<Cell>
+fig21Cells(const Context &ctx)
+{
+    const auto opts = measureOpts();
+    std::vector<Cell> cells;
+    for (const auto &d : fig21Designs(ctx)) {
+        cells.push_back(Cell::zeroLoad(d.net, d.traffic, opts));
+        for (double rate : kFig21Rates) {
+            TrafficSpec spec = d.traffic;
+            spec.injectionRate = rate / d.rateRef; // per design cycle
+            cells.push_back(Cell::loadPoint(d.net, spec, opts));
+        }
+        cells.push_back(
+            Cell::saturation(d.net, d.traffic, 0.6, 0.002, opts));
+    }
+    return cells;
+}
+
+/** Fig. 21: 77 K load-latency across NoC designs. */
+void
+runFig21(const Context &ctx, ExperimentResult &r)
+{
+    const auto designs = fig21Designs(ctx);
+    const auto res = ctx.measure(fig21Cells(ctx));
 
     Table &t = r.table({"design", "zero-load (ns)", "lat@0.006",
                         "lat@0.012", "lat@0.02",
                         "saturation (req/node/cyc)"});
-    for (auto &d : designs) {
-        TrafficSpec tr = d.traffic;
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        const Fig21Design &d = designs[i];
+        const netsim::CellResult *c = &res[i * kFig21CellsPerDesign];
         std::vector<std::string> cells{d.label};
-        const double zl =
-            zeroLoadLatency(d.factory, tr, opts) / d.clock * 1e9;
+        const double zl = c[0].value / d.clock * 1e9;
         cells.push_back(Table::num(zl, 2));
-        for (double rate : {0.006, 0.012, 0.02}) {
-            TrafficSpec spec = tr;
-            spec.injectionRate = rate / d.rateRef; // per design cycle
-            const auto pt = measureLoadPoint(d.factory, spec, opts);
+        for (std::size_t k = 1; k <= std::size(kFig21Rates); ++k) {
+            const LoadPoint &pt = c[k].point;
             cells.push_back(
                 pt.saturated
                     ? std::string("sat")
                     : Table::num(pt.avgLatency / d.clock * 1e9, 2));
         }
-        TrafficSpec spec = tr;
-        const double sat =
-            saturationRate(d.factory, spec, 0.6, 0.002, opts) *
-            d.rateRef;
+        const double sat = c[4].value * d.rateRef;
         cells.push_back(Table::num(sat, 4));
         t.addRow(cells);
 
@@ -156,65 +218,92 @@ runFig21(const Context &ctx, ExperimentResult &r)
         "'comparable scalability' claim).");
 }
 
+/** A Fig. 25 design: its network and base traffic. */
+struct Fig25Design
+{
+    std::string label;
+    NetworkSpec net;
+    double rateRef;
+    TrafficSpec base;
+};
+
+constexpr std::pair<const char *, TrafficPattern> kFig25Patterns[] = {
+    {"uniform", TrafficPattern::UniformRandom},
+    {"transpose", TrafficPattern::Transpose},
+    {"hotspot", TrafficPattern::Hotspot},
+    {"bit-reverse", TrafficPattern::BitReverse},
+    {"burst", TrafficPattern::Burst}};
+
+std::vector<Fig25Design>
+fig25Designs(const Context &ctx)
+{
+    noc::NocDesigner designer{ctx.technology()};
+    return {
+        {"Mesh (3c)", routerSpec(designer.mesh(77.0, 3)),
+         designer.mesh(77.0, 3).clockFreq() / 4.0e9,
+         ctx.directoryTraffic()},
+        {"CMesh (3c)", routerSpec(designer.cmesh(77.0, 3)),
+         designer.cmesh(77.0, 3).clockFreq() / 4.0e9,
+         ctx.directoryTraffic()},
+        {"FB (3c)", routerSpec(designer.flattenedButterfly(77.0, 3)),
+         designer.flattenedButterfly(77.0, 3).clockFreq() / 4.0e9,
+         ctx.directoryTraffic()},
+        {"CryoBus", busSpec(designer.cryoBus(), 1), 1.0, ctx.traffic()},
+        {"CryoBus (2-way)", busSpec(designer.cryoBus(), 2), 1.0,
+         ctx.traffic()},
+    };
+}
+
+MeasureOpts
+fig25Opts()
+{
+    auto opts = measureOpts();
+    opts.measureCycles = 4000;
+    return opts;
+}
+
+/** One saturation search per (design, pattern), design-major. */
+std::vector<Cell>
+fig25Cells(const Context &ctx)
+{
+    const auto opts = fig25Opts();
+    std::vector<Cell> cells;
+    for (const auto &d : fig25Designs(ctx)) {
+        for (const auto &p : kFig25Patterns) {
+            TrafficSpec tr = d.base;
+            tr.pattern = p.second;
+            cells.push_back(Cell::saturation(d.net, tr, 0.6, 0.003, opts));
+        }
+    }
+    return cells;
+}
+
 /** Fig. 25: load-latency under adversarial traffic patterns. */
 void
 runFig25(const Context &ctx, ExperimentResult &r)
 {
-    noc::NocDesigner designer{ctx.technology()};
-    auto opts = measureOpts();
-    opts.measureCycles = 4000;
-
-    struct Design
-    {
-        std::string label;
-        NetworkFactory factory;
-        double rateRef;
-        TrafficSpec base;
-    };
-    std::vector<Design> designs = {
-        {"Mesh (3c)", routerFactory(designer.mesh(77.0, 3)),
-         designer.mesh(77.0, 3).clockFreq() / 4.0e9,
-         ctx.directoryTraffic()},
-        {"CMesh (3c)", routerFactory(designer.cmesh(77.0, 3)),
-         designer.cmesh(77.0, 3).clockFreq() / 4.0e9,
-         ctx.directoryTraffic()},
-        {"FB (3c)",
-         routerFactory(designer.flattenedButterfly(77.0, 3)),
-         designer.flattenedButterfly(77.0, 3).clockFreq() / 4.0e9,
-         ctx.directoryTraffic()},
-        {"CryoBus", busFactory(designer.cryoBus(), 1), 1.0,
-         ctx.traffic()},
-        {"CryoBus (2-way)", busFactory(designer.cryoBus(), 2), 1.0,
-         ctx.traffic()},
-    };
-
-    const std::vector<std::pair<const char *, TrafficPattern>>
-        patterns = {{"uniform", TrafficPattern::UniformRandom},
-                    {"transpose", TrafficPattern::Transpose},
-                    {"hotspot", TrafficPattern::Hotspot},
-                    {"bit-reverse", TrafficPattern::BitReverse},
-                    {"burst", TrafficPattern::Burst}};
+    const auto designs = fig25Designs(ctx);
+    const auto res = ctx.measure(fig25Cells(ctx));
+    const std::size_t n_patterns = std::size(kFig25Patterns);
 
     std::vector<std::string> header{"design"};
-    for (const auto &p : patterns)
+    for (const auto &p : kFig25Patterns)
         header.push_back(p.first);
     Table &t = r.table(header);
 
     double cb_uniform = 0.0, cb_hotspot = 0.0, cb2_hotspot = 0.0;
     double fb_hotspot = 0.0;
-    for (auto &d : designs) {
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        const Fig25Design &d = designs[i];
         std::vector<std::string> row{d.label};
-        for (const auto &p : patterns) {
-            TrafficSpec tr = d.base;
-            tr.pattern = p.second;
-            const double sat =
-                saturationRate(d.factory, tr, 0.6, 0.003, opts) *
-                d.rateRef;
+        for (std::size_t k = 0; k < n_patterns; ++k) {
+            const TrafficPattern pattern = kFig25Patterns[k].second;
+            const double sat = res[i * n_patterns + k].value * d.rateRef;
             row.push_back(Table::num(sat, 4));
             if (d.label == "CryoBus" &&
-                p.second == TrafficPattern::UniformRandom)
+                pattern == TrafficPattern::UniformRandom)
                 cb_uniform = sat;
-            if (p.second == TrafficPattern::Hotspot) {
+            if (pattern == TrafficPattern::Hotspot) {
                 if (d.label == "CryoBus")
                     cb_hotspot = sat;
                 else if (d.label == "CryoBus (2-way)")
@@ -241,57 +330,87 @@ runFig25(const Context &ctx, ExperimentResult &r)
         "the Fig. 25 claim.");
 }
 
+/** A Fig. 26 design: its network, traffic and saturation bracket. */
+struct Fig26Design
+{
+    std::string label;
+    NetworkSpec net;
+    TrafficSpec traffic;
+    double hi;
+    double tolerance;
+    /** Router clock [Hz]; 0 for the hybrids, which run at 4 GHz. */
+    double clock;
+};
+
+/** The two hybrids, then the 256-core router NoCs. */
+std::vector<Fig26Design>
+fig26Designs(const Context &ctx)
+{
+    noc::NocDesigner designer256{ctx.technology(), 256};
+    noc::NocDesigner designer64{ctx.technology(), 64};
+
+    HybridConfig hc;
+    hc.busTiming = BusTiming::fromConfig(designer64.cryoBus(), 1);
+    HybridConfig hc2 = hc;
+    hc2.busTiming = BusTiming::fromConfig(designer64.cryoBus(), 2);
+
+    std::vector<Fig26Design> designs = {
+        {"Hybrid CryoBus", hc, ctx.traffic(), 0.05, 0.0005, 0.0},
+        {"Hybrid CryoBus (2-way)", hc2, ctx.traffic(), 0.05, 0.0005,
+         0.0},
+    };
+    for (const auto &cfg :
+         {designer256.mesh(77.0, 1), designer256.cmesh(77.0, 3),
+          designer256.flattenedButterfly(77.0, 3)})
+        designs.push_back({cfg.name(), routerSpec(cfg),
+                           ctx.directoryTraffic(), 0.5, 0.002,
+                           cfg.clockFreq()});
+    return designs;
+}
+
+/** Zero-load, then saturation, per design. */
+std::vector<Cell>
+fig26Cells(const Context &ctx)
+{
+    const auto opts = measureOpts();
+    std::vector<Cell> cells;
+    for (const auto &d : fig26Designs(ctx)) {
+        cells.push_back(Cell::zeroLoad(d.net, d.traffic, opts));
+        cells.push_back(Cell::saturation(d.net, d.traffic, d.hi,
+                                         d.tolerance, opts));
+    }
+    return cells;
+}
+
 /** Fig. 26: scaling CryoBus to 256 cores with the hybrid design. */
 void
 runFig26(const Context &ctx, ExperimentResult &r)
 {
-    noc::NocDesigner designer256{ctx.technology(), 256};
-    noc::NocDesigner designer64{ctx.technology(), 64};
-    const auto opts = measureOpts();
+    const auto designs = fig26Designs(ctx);
+    const auto res = ctx.measure(fig26Cells(ctx));
 
-    HybridConfig hc;
-    hc.busTiming = BusTiming::fromConfig(designer64.cryoBus(), 1);
-    auto hybrid1 = [hc]() -> std::unique_ptr<Network> {
-        return std::make_unique<HybridNetwork>(hc);
-    };
-    HybridConfig hc2 = hc;
-    hc2.busTiming = BusTiming::fromConfig(designer64.cryoBus(), 2);
-    auto hybrid2 = [hc2]() -> std::unique_ptr<Network> {
-        return std::make_unique<HybridNetwork>(hc2);
-    };
-
-    const TrafficSpec tr = ctx.traffic();
     Table &t = r.table({"design (256 cores)", "zero-load (ns)",
                         "saturation (req/node/cyc)"});
-
     double hybrid_zl = 0.0, hybrid_sat = 0.0, hybrid2_sat = 0.0;
-    auto add_hybrid = [&](const char *label,
-                          const NetworkFactory &factory, double &zl_out,
-                          double &sat_out) {
-        zl_out = zeroLoadLatency(factory, tr, opts) / 4.0;
-        sat_out = saturationRate(factory, tr, 0.05, 0.0005, opts);
-        t.addRow({label, Table::num(zl_out, 2),
-                  Table::num(sat_out, 4)});
-    };
-    double zl2_unused = 0.0;
-    add_hybrid("Hybrid CryoBus", hybrid1, hybrid_zl, hybrid_sat);
-    add_hybrid("Hybrid CryoBus (2-way)", hybrid2, zl2_unused,
-               hybrid2_sat);
-
     double min_router_zl = 1e30;
-    for (const auto &cfg :
-         {designer256.mesh(77.0, 1), designer256.cmesh(77.0, 3),
-          designer256.flattenedButterfly(77.0, 3)}) {
-        auto factory = routerFactory(cfg);
-        TrafficSpec dir = ctx.directoryTraffic();
-        const double zl =
-            zeroLoadLatency(factory, dir, opts) / cfg.clockFreq() *
-            1e9;
-        const double sat =
-            saturationRate(factory, dir, 0.5, 0.002, opts) *
-            cfg.clockFreq() / 4.0e9;
-        t.addRow({cfg.name(), Table::num(zl, 2), Table::num(sat, 4)});
-        min_router_zl = std::min(min_router_zl, zl);
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        const Fig26Design &d = designs[i];
+        double zl = 0.0, sat = 0.0;
+        if (d.clock == 0.0) {
+            zl = res[2 * i].value / 4.0;
+            sat = res[2 * i + 1].value;
+        } else {
+            zl = res[2 * i].value / d.clock * 1e9;
+            sat = res[2 * i + 1].value * d.clock / 4.0e9;
+            min_router_zl = std::min(min_router_zl, zl);
+        }
+        t.addRow({d.label, Table::num(zl, 2), Table::num(sat, 4)});
+        if (i == 0) {
+            hybrid_zl = zl;
+            hybrid_sat = sat;
+        } else if (i == 1) {
+            hybrid2_sat = sat;
+        }
     }
 
     r.anchored("hybrid-zero-load-ns", hybrid_zl, 3.50, 0.05, "ns");
@@ -317,25 +436,29 @@ registerNetsimExperiments(Registry &reg)
              "Cycle-accurate bus simulation, uniform random requests "
              "(latency in 4 GHz cycles).",
              {"figure", "netsim", "smoke"},
-             runFig18});
+             runFig18,
+             fig18Cells});
     reg.add({"fig21-noc-load-latency",
              "Fig. 21 - 77 K load-latency across NoC designs",
              "Cycle-accurate simulation, uniform random; x in requests "
              "per node per 4 GHz cycle, y in ns.",
              {"figure", "netsim", "slow"},
-             runFig21});
+             runFig21,
+             fig21Cells});
     reg.add({"fig25-traffic-patterns",
              "Fig. 25 - load-latency under adversarial traffic",
              "Saturation throughput (requests/node/4GHz-cycle) per "
              "pattern and design; CryoBus rows should barely move.",
              {"figure", "netsim", "slow"},
-             runFig25});
+             runFig25,
+             fig25Cells});
     reg.add({"fig26-hybrid-256core",
              "Fig. 26 - scaling CryoBus to 256 cores",
              "Hybrid = 4 x 64-core CryoBus + 2x2 global mesh (gives up "
              "global snooping, keeps the latency).",
              {"figure", "netsim", "slow"},
-             runFig26});
+             runFig26,
+             fig26Cells});
 }
 
 } // namespace cryo::exp

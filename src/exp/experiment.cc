@@ -108,6 +108,54 @@ Context::directoryTraffic() const
     return tr;
 }
 
+std::vector<netsim::CellResult>
+Context::measure(const std::vector<netsim::Cell> &cells) const
+{
+    std::vector<netsim::CellResult> out;
+    out.reserve(cells.size());
+    for (const netsim::Cell &cell : cells) {
+        const netsim::CellResult *pooled =
+            cells_ ? cells_->find(cell) : nullptr;
+        out.push_back(pooled ? *pooled : netsim::runCell(cell));
+    }
+    return out;
+}
+
+Context
+Context::withCells(std::shared_ptr<const CellTable> cells) const
+{
+    Context ctx = *this;
+    ctx.cells_ = std::move(cells);
+    return ctx;
+}
+
+std::size_t
+CellTable::add(const netsim::Cell &cell)
+{
+    const std::uint64_t h = cell.hash();
+    const auto [first, last] = byHash_.equal_range(h);
+    for (auto it = first; it != last; ++it) {
+        if (cells_[it->second] == cell)
+            return it->second;
+    }
+    byHash_.emplace(h, cells_.size());
+    cells_.push_back(cell);
+    results_.emplace_back();
+    return cells_.size() - 1;
+}
+
+const netsim::CellResult *
+CellTable::find(const netsim::Cell &cell) const
+{
+    const auto [first, last] = byHash_.equal_range(cell.hash());
+    for (auto it = first; it != last; ++it) {
+        const std::size_t i = it->second;
+        if (cells_[i] == cell)
+            return results_[i] ? &*results_[i] : nullptr;
+    }
+    return nullptr;
+}
+
 bool
 Experiment::hasTag(const std::string &tag) const
 {

@@ -10,7 +10,10 @@
  * (technology, SystemBuilder, Evaluator, seeded traffic) instead of
  * each main() hand-wiring its own globals, so every experiment is a
  * pure function of (Context, declaration) and can be dispatched on the
- * thread pool with deterministic results.
+ * thread pool with deterministic results. The netsim figures also
+ * list their measurements as netsim::Cell values; the runner
+ * simulates those in one pool and hands the results back through the
+ * Context.
  */
 
 #ifndef CRYOWIRE_EXP_EXPERIMENT_HH
@@ -21,12 +24,15 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/evaluation.hh"
 #include "core/system_builder.hh"
 #include "dse/design_point.hh"
+#include "netsim/cell.hh"
 #include "netsim/traffic.hh"
 #include "tech/technology.hh"
 #include "util/table.hh"
@@ -124,12 +130,45 @@ class ExperimentResult
 };
 
 /**
+ * Netsim cells and their results, keyed by content. The runner adds
+ * every selected experiment's cells once, fills in the results from
+ * its pool, and then shares the table read-only through the Context.
+ * A lookup compares the stored cell, so a hash collision misses (and
+ * costs a recompute), never returns another cell's result.
+ */
+class CellTable
+{
+  public:
+    /** Add @p cell unless an equal one is in; returns its index. */
+    std::size_t add(const netsim::Cell &cell);
+
+    std::size_t size() const { return cells_.size(); }
+    const netsim::Cell &cell(std::size_t i) const { return cells_[i]; }
+
+    /** Record cell @p i's result. Distinct indices may be set
+     * concurrently; a cell without a result stays out of find(). */
+    void setResult(std::size_t i, const netsim::CellResult &result)
+    {
+        results_[i] = result;
+    }
+
+    /** The result of a cell equal to @p cell, or null. */
+    const netsim::CellResult *find(const netsim::Cell &cell) const;
+
+  private:
+    std::vector<netsim::Cell> cells_;
+    std::vector<std::optional<netsim::CellResult>> results_;
+    std::unordered_multimap<std::uint64_t, std::size_t> byHash_;
+};
+
+/**
  * Shared, immutable model stack handed to every experiment - a pure
  * function of one dse::DesignPoint. The point selects the technology
  * corner, core count, floorplan scale, and seed; the derived
  * Technology, SystemBuilder, Evaluator and IntervalSimulator are
  * stateless after construction, so concurrent experiments may consume
- * one Context freely.
+ * one Context freely. The runner's Context also carries the netsim
+ * cell results its pool produced (measure()).
  *
  * Contexts are cheap values: the Technology lives behind a shared
  * const pointer, so copies share it and a copy costs two small object
@@ -169,16 +208,32 @@ class Context
     /** Directory-protocol traffic for router NoCs (5-flit replies). */
     netsim::TrafficSpec directoryTraffic() const;
 
+    /**
+     * The results of @p cells, in order. A cell the runner's pool
+     * measured is read from its table; every other cell is simulated
+     * here, in order, so a hook called with a plain Context runs its
+     * cells inline (and fails as they fail).
+     */
+    std::vector<netsim::CellResult>
+    measure(const std::vector<netsim::Cell> &cells) const;
+
+    /** A copy of this Context whose measure() reads @p cells. */
+    Context withCells(std::shared_ptr<const CellTable> cells) const;
+
   private:
     dse::DesignPoint point_;
     /** Declared before the members that hold references into it. */
     std::shared_ptr<const tech::Technology> tech_;
     core::SystemBuilder builder_;
     core::Evaluator evaluator_;
+    std::shared_ptr<const CellTable> cells_; ///< null: none pooled
 };
 
 /** An experiment's run hook. */
 using RunFn = void (*)(const Context &, ExperimentResult &);
+
+/** The netsim cells an experiment's hook measures. */
+using CellsFn = std::vector<netsim::Cell> (*)(const Context &);
 
 /**
  * One registered figure/table reproduction.
@@ -194,6 +249,12 @@ struct Experiment
     std::string summary;
     std::vector<std::string> tags;
     RunFn run = nullptr;
+    /**
+     * Null, or the cells @p run measures through Context::measure.
+     * The runner simulates every selected experiment's cells in one
+     * pool before any hook runs, so the hook only assembles tables.
+     */
+    CellsFn cells = nullptr;
 
     bool hasTag(const std::string &tag) const;
 };

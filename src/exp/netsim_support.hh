@@ -1,34 +1,42 @@
 /**
  * @file
- * Shared netsim factories for the load-latency experiments (Figs 18,
- * 21, 25, 26): bind an analytic NoC design point to a cycle-accurate
- * network factory, and size the measurement window for experiment
- * runtime.
+ * Shared netsim helpers for the load-latency experiments (Figs 18, 21,
+ * 25, 26): bind an analytic NoC design point to a cycle-accurate
+ * network spec or factory, and size the measurement window for
+ * experiment runtime.
  */
 
 #ifndef CRYOWIRE_EXP_NETSIM_SUPPORT_HH
 #define CRYOWIRE_EXP_NETSIM_SUPPORT_HH
 
-#include <memory>
-#include <vector>
-
-#include "netsim/bus_net.hh"
+#include "netsim/cell.hh"
 #include "netsim/load_latency.hh"
-#include "netsim/router_net.hh"
 #include "noc/noc_config.hh"
 
 namespace cryo::exp
 {
 
+/** Bus network spec bound to an analytic design point. */
+inline netsim::NetworkSpec
+busSpec(const noc::NocConfig &cfg, int ways = 1)
+{
+    return netsim::BusSpec{cfg.topology().cores(),
+                           netsim::BusTiming::fromConfig(cfg, ways)};
+}
+
+/** Router network spec bound to an analytic design point. */
+inline netsim::NetworkSpec
+routerSpec(const noc::NocConfig &cfg)
+{
+    return netsim::RouterNetConfig::fromConfig(cfg);
+}
+
 /** Bus network factory bound to an analytic design point. */
 inline netsim::NetworkFactory
 busFactory(const noc::NocConfig &cfg, int ways = 1)
 {
-    const netsim::BusTiming timing =
-        netsim::BusTiming::fromConfig(cfg, ways);
-    const int nodes = cfg.topology().cores();
-    return [timing, nodes]() -> std::unique_ptr<netsim::Network> {
-        return std::make_unique<netsim::BusNetwork>(nodes, timing);
+    return [spec = busSpec(cfg, ways)] {
+        return netsim::buildNetwork(spec);
     };
 }
 
@@ -36,10 +44,8 @@ busFactory(const noc::NocConfig &cfg, int ways = 1)
 inline netsim::NetworkFactory
 routerFactory(const noc::NocConfig &cfg)
 {
-    const netsim::RouterNetConfig rc =
-        netsim::RouterNetConfig::fromConfig(cfg);
-    return [rc]() -> std::unique_ptr<netsim::Network> {
-        return std::make_unique<netsim::RouterNetwork>(rc);
+    return [spec = routerSpec(cfg)] {
+        return netsim::buildNetwork(spec);
     };
 }
 

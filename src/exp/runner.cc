@@ -1,11 +1,13 @@
 #include "runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "util/diag.hh"
@@ -46,21 +48,25 @@ runOne(const Experiment &e, const Context &ctx, RunRecord &rec)
 }
 
 /**
- * Wall-clock watchdog: a monitor thread flags (once, on stderr) every
- * experiment still running past the budget. Purely observational - the
- * experiment is not killed and no record field changes, keeping the
- * sinks deterministic.
+ * Wall-clock watchdog over units of work - pooled cells and hooks,
+ * each belonging to one experiment. A monitor thread flags (once per
+ * experiment, on stderr) every experiment with a unit still running
+ * past the budget. Purely observational - nothing is killed and no
+ * record field changes, keeping the sinks deterministic.
  */
 class Watchdog
 {
   public:
+    /** Unit u belongs to experiment @p owners[u] of @p selection. */
     Watchdog(const std::vector<const Experiment *> &selection,
-             double budget_seconds)
-        : selection_(selection), budgetSeconds_(budget_seconds)
+             std::vector<std::size_t> owners, double budget_seconds)
+        : selection_(selection), owners_(std::move(owners)),
+          budgetSeconds_(budget_seconds)
     {
         if (budgetSeconds_ <= 0.0)
             return;
-        states_ = std::make_unique<State[]>(selection.size());
+        states_ = std::make_unique<State[]>(owners_.size());
+        flagged_.assign(selection.size(), false);
         monitor_ = std::thread([this] { watch(); });
     }
 
@@ -95,7 +101,6 @@ class Watchdog
     {
         std::atomic<std::int64_t> startNs{0}; ///< 0 = not started
         std::atomic<bool> done{false};
-        bool flagged = false; ///< monitor-thread only
     };
 
     static std::int64_t
@@ -119,9 +124,10 @@ class Watchdog
             if (stop_)
                 return;
             const std::int64_t now = nowNs();
-            for (std::size_t i = 0; i < selection_.size(); ++i) {
-                State &s = states_[i];
-                if (s.flagged ||
+            for (std::size_t u = 0; u < owners_.size(); ++u) {
+                const std::size_t i = owners_[u];
+                State &s = states_[u];
+                if (flagged_[i] ||
                     s.done.load(std::memory_order_acquire))
                     continue;
                 const std::int64_t start =
@@ -132,7 +138,7 @@ class Watchdog
                     static_cast<double>(now - start) * 1e-9;
                 if (elapsed <= budgetSeconds_)
                     continue;
-                s.flagged = true;
+                flagged_[i] = true;
                 std::fprintf(stderr,
                              "cryowire warn: experiment %s still "
                              "running after %.0f s (watchdog budget "
@@ -144,13 +150,43 @@ class Watchdog
     }
 
     const std::vector<const Experiment *> &selection_;
+    std::vector<std::size_t> owners_;
     double budgetSeconds_;
     std::unique_ptr<State[]> states_;
+    std::vector<bool> flagged_; ///< per experiment; monitor-thread only
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stop_ = false;
     std::thread monitor_;
 };
+
+/**
+ * Every selected experiment's cells, each once; @p owners gets the
+ * index of the experiment that declared each cell first. An experiment
+ * whose cell list throws contributes none: its hook lists them again
+ * and fails in its own record.
+ */
+CellTable
+gatherCells(const std::vector<const Experiment *> &selection,
+            const Context &ctx, std::vector<std::size_t> &owners)
+{
+    CellTable table;
+    for (std::size_t i = 0; i < selection.size(); ++i) {
+        if (selection[i]->cells == nullptr)
+            continue;
+        std::vector<netsim::Cell> cells;
+        try {
+            cells = selection[i]->cells(ctx);
+        } catch (...) {
+            continue;
+        }
+        for (const netsim::Cell &cell : cells) {
+            if (table.add(cell) == owners.size())
+                owners.push_back(i);
+        }
+    }
+    return table;
+}
 
 } // namespace
 
@@ -163,19 +199,56 @@ runExperiments(const Registry &registry, const RunOptions &opts)
     for (std::size_t i = 0; i < selection.size(); ++i)
         records[i].experiment = selection[i];
 
-    const Context ctx{opts.seed};
-    Watchdog watchdog{selection, opts.watchdogSeconds};
-    // chunk=1 so each experiment is one schedulable unit; results are
-    // stored by index, so the record order never depends on timing.
+    const Context base{opts.seed};
+    std::vector<std::size_t> owners;
+    auto table = std::make_shared<CellTable>(
+        gatherCells(selection, base, owners));
+    const std::size_t n_cells = table->size();
+    // Watchdog units: the pooled cells, then one hook per experiment.
+    for (std::size_t i = 0; i < selection.size(); ++i)
+        owners.push_back(i);
+    Watchdog watchdog{selection, std::move(owners),
+                      opts.watchdogSeconds};
+
+    // chunk=1 so each cell, then each experiment, is one schedulable
+    // unit; results are stored by index, so nothing depends on timing.
     ParallelOptions popts;
     popts.jobs = opts.jobs;
     popts.chunk = 1;
+
+    // Phase 1: every cell in one pool, longest first (ties keep
+    // declaration order). A cell that throws stays out of the table;
+    // its experiment's hook recomputes it and fails in its record.
+    std::vector<std::size_t> order(n_cells);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return table->cell(a).cost() >
+                             table->cell(b).cost();
+                     });
+    parallelFor(
+        n_cells,
+        [&](std::size_t k) {
+            const std::size_t c = order[k];
+            watchdog.started(c);
+            try {
+                table->setResult(c, netsim::runCell(table->cell(c)));
+            } catch (...) {
+                // Not lost: the owner's hook recomputes the cell inside
+                // its "experiment <name>" frame and records the error.
+            }
+            watchdog.finished(c);
+        },
+        popts);
+
+    // Phase 2: the hooks, which read the pooled results by content.
+    const Context ctx = base.withCells(std::move(table));
     parallelFor(
         selection.size(),
         [&](std::size_t i) {
-            watchdog.started(i);
+            watchdog.started(n_cells + i);
             runOne(*selection[i], ctx, records[i]);
-            watchdog.finished(i);
+            watchdog.finished(n_cells + i);
         },
         popts);
     return records;

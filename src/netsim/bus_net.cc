@@ -31,7 +31,7 @@ BusNetwork::BusNetwork(int nodes, BusTiming timing)
             "bus timing cycles must be >= 1");
     ways_.reserve(static_cast<std::size_t>(timing_.ways));
     for (int w = 0; w < timing_.ways; ++w)
-        ways_.emplace_back(nodes, arena_);
+        ways_.emplace_back(nodes);
 }
 
 int

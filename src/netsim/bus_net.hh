@@ -14,7 +14,7 @@
 #include "netsim/arbiter.hh"
 #include "netsim/network.hh"
 #include "noc/noc_config.hh"
-#include "util/arena.hh"
+#include "util/sliding_queue.hh"
 
 namespace cryo::netsim
 {
@@ -29,6 +29,8 @@ struct BusTiming
 
     /** Build from an analytic NoC design point. */
     static BusTiming fromConfig(const noc::NocConfig &cfg, int ways = 1);
+
+    bool operator==(const BusTiming &) const = default;
 };
 
 /**
@@ -73,12 +75,9 @@ class BusNetwork : public Network
          */
         SlidingQueue<std::pair<Cycle, Cycle>> busyWindows;
 
-        Way(int nodes, MonotonicArena &arena)
-            : arbiter(nodes), busyWindows(arena)
+        explicit Way(int nodes)
+            : arbiter(nodes), queues(static_cast<std::size_t>(nodes))
         {
-            queues.reserve(static_cast<std::size_t>(nodes));
-            for (int n = 0; n < nodes; ++n)
-                queues.emplace_back(arena);
         }
     };
 
@@ -88,15 +87,9 @@ class BusNetwork : public Network
     BusTiming timing_;
     Cycle now_ = 0;
     std::size_t inFlight_ = 0;
-    /**
-     * Per-simulation arena backing every queue below; declared first
-     * so it outlives (destructs after) the containers that use it.
-     */
-    MonotonicArena arena_;
     std::vector<Way> ways_;
     /** Transactions broadcast but whose tail has not completed yet. */
-    std::vector<std::pair<Cycle, Packet>, ArenaAllocator<std::pair<Cycle, Packet>>>
-        completing_{ArenaAllocator<std::pair<Cycle, Packet>>(arena_)};
+    std::vector<std::pair<Cycle, Packet>> completing_;
     /** Per-cycle request lines, reused across cycles (no per-tick alloc). */
     std::vector<bool> requestScratch_;
 };

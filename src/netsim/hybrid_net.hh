@@ -32,6 +32,8 @@ struct HybridConfig
     int meshRouterCycles = 1;
     int meshLinkCycles = 2;    ///< gateway-to-gateway link (8 mm span)
     int gatewayBandwidth = 1;  ///< packets per cycle entering a cluster
+
+    bool operator==(const HybridConfig &) const = default;
 };
 
 /**

@@ -141,18 +141,24 @@ sweepLoadLatency(const NetworkFactory &factory, TrafficSpec traffic,
         par);
 }
 
+void
+validateSaturationBracket(double hi, double tolerance)
+{
+    Validator v{"saturationRate"};
+    v.positive("hi", hi)
+        .positive("tolerance", tolerance)
+        .require(hi < 1.0, "hi must be below 1 packet/node/cycle")
+        .require(tolerance < hi,
+                 "tolerance must be below hi, or the search never "
+                 "probes below hi")
+        .done();
+}
+
 double
 saturationRate(const NetworkFactory &factory, TrafficSpec traffic,
                double hi, double tolerance, MeasureOpts opts)
 {
-    {
-        Validator v{"saturationRate"};
-        v.positive("hi", hi)
-            .positive("tolerance", tolerance)
-            .require(hi < 1.0,
-                     "hi must be below 1 packet/node/cycle")
-            .done();
-    }
+    validateSaturationBracket(hi, tolerance);
     double lo = 0.0;
     // Ensure hi is actually saturated; if not, the true saturation
     // point lies outside the bracket — report hi rather than bisecting
@@ -205,7 +211,8 @@ zeroLoadLatency(const NetworkFactory &factory, TrafficSpec traffic,
 {
     TrafficSpec spec = traffic;
     spec.injectionRate = 0.0002; // sparse enough to avoid queueing
-    opts.measureCycles = std::max<Cycle>(opts.measureCycles, 40000);
+    opts.measureCycles =
+        std::max<Cycle>(opts.measureCycles, kZeroLoadMeasureCycles);
     return measureLoadPoint(factory, spec, opts).avgLatency;
 }
 

@@ -35,6 +35,8 @@ struct MeasureOpts
     Cycle measureCycles = 12000;
     double saturationLatency = 400.0; ///< cycles; beyond this = saturated
     double backlogFactor = 4.0; ///< in-flight growth ratio = saturated
+
+    bool operator==(const MeasureOpts &) const = default;
 };
 
 /** Builds a fresh network instance for each measured point. */
@@ -66,10 +68,16 @@ std::vector<LoadPoint> sweepLoadLatency(const NetworkFactory &factory,
                                         ParallelOptions par = {});
 
 /**
+ * saturationRate's bracket contract: throws cryo::FatalError unless
+ * 0 < @p tolerance < @p hi < 1.
+ */
+void validateSaturationBracket(double hi, double tolerance);
+
+/**
  * Binary-search the saturation throughput (packets/node/cycle) of a
  * network under @p traffic, to @p tolerance.
  *
- * Requires 0 < @p hi < 1 and @p tolerance > 0 (throws cryo::FatalError
+ * Requires 0 < @p tolerance < @p hi < 1 (throws cryo::FatalError
  * otherwise). Two degenerate bracket shapes resolve gracefully rather
  * than hanging or aborting: a @p hi that never saturates returns
  * @p hi itself, and a network already saturated at every probed rate
@@ -79,7 +87,13 @@ double saturationRate(const NetworkFactory &factory, TrafficSpec traffic,
                       double hi = 0.995, double tolerance = 0.005,
                       MeasureOpts opts = {});
 
-/** Zero-load latency: the latency at a vanishing injection rate. */
+/** zeroLoadLatency's shortest measurement window [cycles]. */
+inline constexpr Cycle kZeroLoadMeasureCycles = 40000;
+
+/**
+ * Zero-load latency: the latency at a vanishing injection rate,
+ * measured over at least kZeroLoadMeasureCycles.
+ */
 double zeroLoadLatency(const NetworkFactory &factory, TrafficSpec traffic,
                        MeasureOpts opts = {});
 

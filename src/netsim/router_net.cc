@@ -131,8 +131,8 @@ RouterNetwork::addQueue(int router, int capacity)
 {
     auto &ids = inQueueIds_[static_cast<std::size_t>(router)];
     const int qid = static_cast<int>(queues_.size());
-    queues_.emplace_back(arena_, capacity, router,
-                         static_cast<int>(ids.size()));
+    queues_.push_back({{}, 0, capacity, router,
+                       static_cast<int>(ids.size())});
     ids.push_back(qid);
     return qid;
 }

@@ -44,7 +44,7 @@
 
 #include "netsim/network.hh"
 #include "noc/noc_config.hh"
-#include "util/arena.hh"
+#include "util/sliding_queue.hh"
 
 namespace cryo::netsim
 {
@@ -62,6 +62,8 @@ struct RouterNetConfig
 
     /** Derive from an analytic design point. */
     static RouterNetConfig fromConfig(const noc::NocConfig &cfg);
+
+    bool operator==(const RouterNetConfig &) const = default;
 };
 
 /**
@@ -100,17 +102,11 @@ class RouterNetwork : public Network
 
     struct InQueue
     {
-        SlidingQueue<FlitEntry> q; ///< contiguous, arena-backed
+        SlidingQueue<FlitEntry> q;
         int reserved = 0;          ///< occupied + in-flight slots
         int capacity;              ///< 0 = unbounded (NI source queues)
         int router;                ///< router this queue feeds
         int pos;                   ///< index in inQueueIds_[router]
-
-        InQueue(MonotonicArena &arena, int cap, int router_id,
-                int position)
-            : q(arena), capacity(cap), router(router_id), pos(position)
-        {
-        }
     };
 
     struct Link
@@ -170,12 +166,6 @@ class RouterNetwork : public Network
     int gridSide_;
     Cycle now_ = 0;
 
-    /**
-     * Per-simulation arena backing the flit queues and the in-flight
-     * event list; declared before every container that allocates from
-     * it so destruction runs in the safe order.
-     */
-    MonotonicArena arena_;
     std::vector<Link> links_;
     std::vector<std::vector<int>> outLinks_;     ///< per router
     std::vector<std::vector<int>> inQueueIds_;   ///< per router
@@ -194,8 +184,7 @@ class RouterNetwork : public Network
     std::vector<std::uint64_t> cand_;
     int candWords_ = 1;
     std::unordered_map<std::uint64_t, Packet> active_;
-    std::vector<Arrival, ArenaAllocator<Arrival>> inFlight_{
-        ArenaAllocator<Arrival>(arena_)};
+    std::vector<Arrival> inFlight_;
     /** Per-cycle ejection-port mask, reused across cycles. */
     std::vector<bool> ejectScratch_;
 };

@@ -55,6 +55,8 @@ struct TrafficSpec
      * TrafficGenerator at construction.
      */
     void validate(int nodes) const;
+
+    bool operator==(const TrafficSpec &) const = default;
 };
 
 /**

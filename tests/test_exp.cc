@@ -17,6 +17,7 @@
 #include "exp/runner.hh"
 #include "exp/sinks.hh"
 #include "util/diag.hh"
+#include "util/failpoint.hh"
 
 namespace cryo::exp
 {
@@ -184,9 +185,10 @@ TEST(Runner, CheapExperimentPassesItsAnchors)
 TEST(Runner, ParallelJsonIsByteIdenticalToSerial)
 {
     RunOptions opts;
-    // The last four cover the loops beneath the runner that a width-1
-    // call keeps on its thread: sweepLoadLatency (fig18),
-    // Evaluator::evaluate/runSuite (fig23/24) and the voltage grid.
+    // The last four cover the runner's cell pool (fig18) and the
+    // loops beneath the runner that a width-1 call keeps on its
+    // thread: Evaluator::evaluate/runSuite (fig23/24) and the voltage
+    // grid.
     opts.filters = {"fig20-bus-latency-breakdown", "table4-eval-setup",
                     "fig05-wire-speedup", "fig18-bus-load-latency",
                     "fig23-system-performance", "fig24-spec-prefetch",
@@ -336,6 +338,255 @@ TEST(Runner, AnchorSummaryReportsMisses)
     std::ostringstream bad;
     EXPECT_EQ(renderAnchorSummary(bad, records), 1u);
     EXPECT_NE(bad.str().find("synthetic-miss"), std::string::npos);
+}
+
+// --- The cell pool ----------------------------------------------------
+
+/** A cheap cell: an 8-node bus over a short window. */
+netsim::Cell
+busCell(netsim::ProbeKind probe, double rate, const Context &ctx,
+        int nodes = 8)
+{
+    netsim::BusSpec bus;
+    bus.nodes = nodes;
+    netsim::TrafficSpec tr = ctx.traffic();
+    tr.injectionRate = rate;
+    netsim::MeasureOpts opts;
+    opts.warmupCycles = 100;
+    opts.measureCycles = 400;
+    switch (probe) {
+    case netsim::ProbeKind::ZeroLoad:
+        return netsim::Cell::zeroLoad(bus, tr, opts);
+    case netsim::ProbeKind::LoadPoint:
+        return netsim::Cell::loadPoint(bus, tr, opts);
+    case netsim::ProbeKind::Saturation:
+        break;
+    }
+    return netsim::Cell::saturation(bus, tr, 0.5, 0.01, opts);
+}
+
+/** Record every cell's value as a metric, in order. */
+void
+recordCells(const Context &ctx, const std::vector<netsim::Cell> &cells,
+            ExperimentResult &r)
+{
+    const auto res = ctx.measure(cells);
+    for (std::size_t i = 0; i < res.size(); ++i)
+        r.metric("cell-" + std::to_string(i), res[i].value);
+    r.verdict("measured " + std::to_string(res.size()) + " cells");
+}
+
+std::vector<netsim::Cell>
+alphaCells(const Context &ctx)
+{
+    using netsim::ProbeKind;
+    return {busCell(ProbeKind::ZeroLoad, 0.0, ctx),
+            busCell(ProbeKind::LoadPoint, 0.02, ctx),
+            busCell(ProbeKind::LoadPoint, 0.05, ctx),
+            busCell(ProbeKind::Saturation, 0.0, ctx)};
+}
+
+void
+alphaRun(const Context &ctx, ExperimentResult &r)
+{
+    recordCells(ctx, alphaCells(ctx), r);
+}
+
+/** Shares its first cell with alpha. */
+std::vector<netsim::Cell>
+betaCells(const Context &ctx)
+{
+    using netsim::ProbeKind;
+    return {busCell(ProbeKind::LoadPoint, 0.02, ctx),
+            busCell(ProbeKind::LoadPoint, 0.08, ctx, 16)};
+}
+
+void
+betaRun(const Context &ctx, ExperimentResult &r)
+{
+    recordCells(ctx, betaCells(ctx), r);
+}
+
+/** A good cell, then one whose 1-node bus cannot be built. */
+std::vector<netsim::Cell>
+brokenCells(const Context &ctx)
+{
+    using netsim::ProbeKind;
+    return {busCell(ProbeKind::LoadPoint, 0.03, ctx),
+            busCell(ProbeKind::LoadPoint, 0.03, ctx, 1)};
+}
+
+void
+brokenRun(const Context &ctx, ExperimentResult &r)
+{
+    recordCells(ctx, brokenCells(ctx), r);
+}
+
+/** alpha, beta and their five distinct cells. */
+Registry
+pooledRegistry(bool with_broken)
+{
+    Registry reg;
+    reg.add({"exp-alpha", "Alpha", "four cells", {"pool"}, &alphaRun,
+             &alphaCells});
+    if (with_broken)
+        reg.add({"exp-broken", "Broken", "one cell throws", {"pool"},
+                 &brokenRun, &brokenCells});
+    reg.add({"exp-beta", "Beta", "two cells, one shared", {"pool"},
+             &betaRun, &betaCells});
+    return reg;
+}
+
+std::string
+poolJson(const Registry &reg, int jobs)
+{
+    RunOptions o;
+    o.quiet = true;
+    o.jobs = jobs;
+    const auto records = runExperiments(reg, o);
+    std::ostringstream os;
+    writeJson(os, records, o.seed);
+    return os.str();
+}
+
+/** Arms "netsim.cell" for the scope; the test reads its hit count. */
+struct CellFailpoint
+{
+    explicit CellFailpoint(const std::string &spec)
+    {
+        failpoint::arm("netsim.cell", spec);
+    }
+    ~CellFailpoint() { failpoint::disarmAll(); }
+    CellFailpoint(const CellFailpoint &) = delete;
+    CellFailpoint &operator=(const CellFailpoint &) = delete;
+};
+
+TEST(CellPool, EveryDeclaredCellIsSimulatedExactlyOnce)
+{
+    const Registry reg = pooledRegistry(false);
+    for (int jobs : {1, 4}) {
+        // Never fires; it counts every runCell, the hooks' included.
+        CellFailpoint count{"nth(1000000000):error"};
+        RunOptions o;
+        o.quiet = true;
+        o.jobs = jobs;
+        const auto records = runExperiments(reg, o);
+        EXPECT_EQ(failpoint::hits("netsim.cell"), 5u) << "jobs " << jobs;
+        ASSERT_EQ(records.size(), 2u);
+        EXPECT_FALSE(records[0].failed);
+        EXPECT_FALSE(records[1].failed);
+        EXPECT_EQ(records[0].result.metrics().size(), 4u);
+        EXPECT_EQ(records[1].result.metrics().size(), 2u);
+        // The shared cell reads the same result in both experiments.
+        EXPECT_EQ(records[0].result.metrics()[1].value,
+                  records[1].result.metrics()[0].value);
+    }
+}
+
+TEST(CellPool, JsonIsByteIdenticalAcrossJobs)
+{
+    const Registry reg = pooledRegistry(true);
+    const std::string serial = poolJson(reg, 1);
+    EXPECT_EQ(serial, poolJson(reg, 4));
+    EXPECT_NE(serial.find("cell-3"), std::string::npos);
+}
+
+TEST(CellPool, ThrowingCellFailsOnlyItsExperiment)
+{
+    // The message the hook gives when it runs its cells itself.
+    std::string direct;
+    try {
+        ExperimentResult r;
+        brokenRun(Context{}, r);
+    } catch (const FatalError &err) {
+        direct = err.message();
+    }
+    ASSERT_FALSE(direct.empty());
+
+    for (int jobs : {1, 4}) {
+        RunOptions o;
+        o.quiet = true;
+        o.jobs = jobs;
+        const auto records = runExperiments(pooledRegistry(true), o);
+        ASSERT_EQ(records.size(), 3u);
+        EXPECT_FALSE(records[0].failed);
+        EXPECT_FALSE(records[2].failed);
+        EXPECT_EQ(records[2].result.metrics().size(), 2u);
+
+        const RunRecord &bad = records[1];
+        EXPECT_TRUE(bad.failed);
+        EXPECT_EQ(bad.error, direct);
+        ASSERT_FALSE(bad.errorContext.empty());
+        EXPECT_EQ(bad.errorContext[0], "experiment exp-broken");
+    }
+}
+
+TEST(CellPool, PlainContextHookGivesTheRunnersResult)
+{
+    const Registry reg = pooledRegistry(false);
+    RunOptions o;
+    o.quiet = true;
+    o.jobs = 4;
+    o.seed = 3;
+    const auto records = runExperiments(reg, o);
+    ASSERT_EQ(records.size(), 2u);
+
+    const Context plain{o.seed};
+    for (const RunRecord &rec : records) {
+        ExperimentResult direct;
+        rec.experiment->run(plain, direct);
+        const auto &pooled = rec.result.metrics();
+        ASSERT_EQ(direct.metrics().size(), pooled.size());
+        for (std::size_t i = 0; i < pooled.size(); ++i)
+            EXPECT_EQ(direct.metrics()[i].value, pooled[i].value)
+                << rec.experiment->name << " cell " << i;
+    }
+}
+
+std::vector<netsim::Cell>
+slowCells(const Context &ctx)
+{
+    return {busCell(netsim::ProbeKind::LoadPoint, 0.02, ctx)};
+}
+
+void
+slowRun(const Context &ctx, ExperimentResult &r)
+{
+    recordCells(ctx, slowCells(ctx), r);
+}
+
+TEST(CellPool, WatchdogFlagsALongCellOnceUnderItsExperiment)
+{
+    Registry reg;
+    reg.add({"exp-slow", "Slow", "one slow cell", {"pool"}, &slowRun,
+             &slowCells});
+    const std::string quiet_json = poolJson(reg, 1);
+
+    std::string json;
+    std::string err;
+    {
+        // Hold the pool's only cell for 3.5 monitor polls.
+        CellFailpoint slow{"nth(1):delay(700)"};
+        RunOptions o;
+        o.quiet = true;
+        o.watchdogSeconds = 0.05;
+        testing::internal::CaptureStderr();
+        const auto records = runExperiments(reg, o);
+        err = testing::internal::GetCapturedStderr();
+        std::ostringstream os;
+        writeJson(os, records, o.seed);
+        json = os.str();
+    }
+    EXPECT_EQ(json, quiet_json);
+
+    std::size_t flags = 0;
+    for (std::size_t at = err.find("still running");
+         at != std::string::npos; at = err.find("still running", at + 1))
+        ++flags;
+    EXPECT_EQ(flags, 1u) << err;
+    EXPECT_NE(err.find("experiment exp-slow still running"),
+              std::string::npos)
+        << err;
 }
 
 TEST(Context, SeedFlowsIntoTraffic)

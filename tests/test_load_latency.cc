@@ -7,8 +7,10 @@
 
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "netsim/bus_net.hh"
+#include "netsim/cell.hh"
 #include "netsim/hybrid_net.hh"
 #include "netsim/load_latency.hh"
 #include "netsim/router_net.hh"
@@ -97,6 +99,14 @@ TEST(LoadLatency, SaturationRateRejectsBadBracketOrTolerance)
         FatalError);
     EXPECT_THROW(
         saturationRate(cryoBusFactory(), tr, 0.05, -0.01, fastOpts()),
+        FatalError);
+    // A tolerance at or above hi ends the search before it probes
+    // below hi, so it would report 0 for a bus that carries 0.0156.
+    EXPECT_THROW(
+        saturationRate(cryoBusFactory(), tr, 0.05, 0.05, fastOpts()),
+        FatalError);
+    EXPECT_THROW(
+        saturationRate(cryoBusFactory(), tr, 0.05, 0.06, fastOpts()),
         FatalError);
 }
 
@@ -295,6 +305,174 @@ TEST(Hybrid, RejectsNonSquareClusterCount)
     HybridConfig hc;
     hc.clusters = 3;
     EXPECT_THROW(HybridNetwork{hc}, FatalError);
+}
+
+// --- Cell identity ----------------------------------------------------
+
+Cell
+busSatCell()
+{
+    BusSpec bus;
+    bus.timing.grantCycles = 2;
+    bus.timing.broadcastCycles = 3;
+    return Cell::saturation(bus, TrafficSpec{}, 0.05, 0.001, fastOpts());
+}
+
+Cell
+routerPointCell()
+{
+    RouterNetConfig rc;
+    rc.kind = cryo::noc::TopologyKind::FlattenedButterfly;
+    rc.concentration = 4;
+    TrafficSpec tr;
+    tr.responseFlits = 5;
+    tr.injectionRate = 0.02;
+    return Cell::loadPoint(rc, tr, fastOpts());
+}
+
+Cell
+hybridZeroLoadCell()
+{
+    return Cell::zeroLoad(HybridConfig{}, TrafficSpec{}, fastOpts());
+}
+
+TEST(Cell, EqualContentHashesEqual)
+{
+    for (const Cell &c :
+         {busSatCell(), routerPointCell(), hybridZeroLoadCell()}) {
+        const Cell copy = c;
+        EXPECT_TRUE(copy == c);
+        EXPECT_EQ(copy.hash(), c.hash());
+    }
+    // -0.0 and +0.0 are the same content.
+    Cell neg = routerPointCell();
+    Cell pos = neg;
+    neg.traffic.hotspotFraction = -0.0;
+    pos.traffic.hotspotFraction = 0.0;
+    EXPECT_TRUE(neg == pos);
+    EXPECT_EQ(neg.hash(), pos.hash());
+}
+
+TEST(Cell, PinnedDigests)
+{
+    // The encoding is a contract: a change here needs a kCellSchema
+    // bump (which changes both anyway).
+    EXPECT_EQ(cryo::hashHex(busSatCell().hash()), "9ba8b2b55d80d0a5");
+    EXPECT_EQ(cryo::hashHex(routerPointCell().hash()), "4dd4ac4401a56019");
+}
+
+TEST(Cell, EverySingleFieldPerturbationChangesTheHash)
+{
+    std::vector<std::pair<Cell, Cell>> cases; // (base, perturbed)
+    auto bus = [&](auto edit) {
+        Cell c = busSatCell();
+        edit(c, std::get<BusSpec>(c.network));
+        cases.emplace_back(busSatCell(), c);
+    };
+    bus([](Cell &, BusSpec &b) { b.nodes = 32; });
+    bus([](Cell &, BusSpec &b) { b.timing.requestCycles = 2; });
+    bus([](Cell &, BusSpec &b) { b.timing.grantCycles = 3; });
+    bus([](Cell &, BusSpec &b) { b.timing.broadcastCycles = 4; });
+    bus([](Cell &, BusSpec &b) { b.timing.ways = 2; });
+
+    auto router = [&](auto edit) {
+        Cell c = routerPointCell();
+        edit(std::get<RouterNetConfig>(c.network));
+        cases.emplace_back(routerPointCell(), c);
+    };
+    router([](RouterNetConfig &r) {
+        r.kind = cryo::noc::TopologyKind::Mesh;
+    });
+    router([](RouterNetConfig &r) { r.cores = 256; });
+    router([](RouterNetConfig &r) { r.concentration = 1; });
+    router([](RouterNetConfig &r) { r.routerCycles = 3; });
+    router([](RouterNetConfig &r) { r.virtualChannels = 8; });
+    router([](RouterNetConfig &r) { r.vcBufferFlits = 4; });
+    router([](RouterNetConfig &r) { r.hopsPerCycle = 2; });
+
+    auto hybrid = [&](auto edit) {
+        Cell c = hybridZeroLoadCell();
+        edit(std::get<HybridConfig>(c.network));
+        cases.emplace_back(hybridZeroLoadCell(), c);
+    };
+    hybrid([](HybridConfig &h) { h.clusters = 16; });
+    hybrid([](HybridConfig &h) { h.coresPerCluster = 16; });
+    hybrid([](HybridConfig &h) { h.busTiming.requestCycles = 2; });
+    hybrid([](HybridConfig &h) { h.busTiming.grantCycles = 2; });
+    hybrid([](HybridConfig &h) { h.busTiming.broadcastCycles = 2; });
+    hybrid([](HybridConfig &h) { h.busTiming.ways = 2; });
+    hybrid([](HybridConfig &h) { h.meshRouterCycles = 2; });
+    hybrid([](HybridConfig &h) { h.meshLinkCycles = 3; });
+    hybrid([](HybridConfig &h) { h.gatewayBandwidth = 2; });
+
+    // The same timing on another network kind is another cell.
+    {
+        Cell c = hybridZeroLoadCell();
+        c.network = BusSpec{256, HybridConfig{}.busTiming};
+        cases.emplace_back(hybridZeroLoadCell(), c);
+    }
+
+    auto any = [&](auto edit) {
+        Cell c = busSatCell();
+        edit(c);
+        cases.emplace_back(busSatCell(), c);
+    };
+    any([](Cell &c) { c.traffic.pattern = TrafficPattern::Hotspot; });
+    any([](Cell &c) { c.traffic.injectionRate = 0.02; });
+    any([](Cell &c) { c.traffic.flitsPerPacket = 2; });
+    any([](Cell &c) { c.traffic.responseFlits = 5; });
+    any([](Cell &c) { c.traffic.hotspotNode = 3; });
+    any([](Cell &c) { c.traffic.hotspotFraction = 0.3; });
+    any([](Cell &c) { c.traffic.burstOnProb = 0.5; });
+    any([](Cell &c) { c.traffic.burstOffProb = 0.5; });
+    any([](Cell &c) { c.traffic.seed = 2; });
+    any([](Cell &c) { c.opts.warmupCycles = 1500; });
+    any([](Cell &c) { c.opts.measureCycles = 5000; });
+    any([](Cell &c) { c.opts.saturationLatency = 500.0; });
+    any([](Cell &c) { c.opts.backlogFactor = 3.0; });
+    any([](Cell &c) { c.hi = 0.06; });
+    any([](Cell &c) { c.tolerance = 0.002; });
+    any([](Cell &c) { c.probe = ProbeKind::LoadPoint; });
+    any([](Cell &c) { c.probe = ProbeKind::ZeroLoad; });
+
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const auto &[base, changed] = cases[i];
+        EXPECT_FALSE(changed == base) << "case " << i;
+        EXPECT_NE(changed.hash(), base.hash()) << "case " << i;
+    }
+}
+
+TEST(Cell, SaturationCellValidatesItsBracket)
+{
+    EXPECT_THROW(Cell::saturation(BusSpec{}, TrafficSpec{}, 0.05, 0.05,
+                                  fastOpts()),
+                 FatalError);
+    EXPECT_THROW(Cell::saturation(BusSpec{}, TrafficSpec{}, 1.0, 0.01,
+                                  fastOpts()),
+                 FatalError);
+}
+
+TEST(Cell, RunCallsTheProbeItNames)
+{
+    // Each cell names the same bus as the factory the direct calls use.
+    TrafficSpec tr;
+    const NetworkFactory bus = [] {
+        return std::make_unique<BusNetwork>(64, BusTiming{});
+    };
+    const Cell sat =
+        Cell::saturation(BusSpec{}, tr, 0.05, 0.001, fastOpts());
+    EXPECT_EQ(runCell(sat).value,
+              saturationRate(bus, tr, 0.05, 0.001, fastOpts()));
+    const Cell zl = Cell::zeroLoad(BusSpec{}, tr, fastOpts());
+    EXPECT_EQ(runCell(zl).value, zeroLoadLatency(bus, tr, fastOpts()));
+    tr.injectionRate = 0.01;
+    const Cell pt = Cell::loadPoint(BusSpec{}, tr, fastOpts());
+    const LoadPoint direct = measureLoadPoint(bus, tr, fastOpts());
+    const CellResult r = runCell(pt);
+    EXPECT_EQ(r.value, direct.avgLatency);
+    EXPECT_EQ(r.point.p99Latency, direct.p99Latency);
+    EXPECT_EQ(r.point.throughput, direct.throughput);
+    EXPECT_EQ(r.point.saturated, direct.saturated);
 }
 
 } // namespace
