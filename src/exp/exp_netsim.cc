@@ -49,8 +49,8 @@ fig18Designs(const Context &ctx)
             {busSpec(designer.sharedBus77()), 0.03, 0.0003}};
 }
 
-/** Each bus's sweep points (seeded by point index, as
- * sweepLoadLatency seeds them), then each bus's saturation search. */
+/** Each bus's sweep points (point i seeded Rng::deriveSeed(seed, i)),
+ * then each bus's saturation search. */
 std::vector<Cell>
 fig18Cells(const Context &ctx)
 {

@@ -83,9 +83,12 @@ struct Cell
     std::uint64_t hash() const;
 
     /**
-     * Static cost estimate, for longest-first scheduling: the
-     * node-cycles the probe simulates, i.e. nodes x window x probes
-     * (a saturation search probes hi, then bisects down to tolerance).
+     * Static cost estimate, for longest-first scheduling: nodes x
+     * window x probes, where a saturation search counts the probes of
+     * a bisection of [0, hi] to tolerance. It ranks cells rather than
+     * predicting time: the search probes fewer rates, and none far past
+     * saturation (saturationRate), yet the count still puts fig26's
+     * 256-node searches first.
      */
     double cost() const;
 

@@ -1,13 +1,11 @@
 #include "load_latency.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "util/diag.hh"
-#include "util/parallel.hh"
-#include "util/rng.hh"
 #include "util/validate.hh"
 
 namespace cryo::netsim
@@ -111,36 +109,6 @@ measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
     return pt;
 }
 
-std::vector<LoadPoint>
-sweepLoadLatency(const NetworkFactory &factory, TrafficSpec traffic,
-                 const std::vector<double> &rates, MeasureOpts opts,
-                 ParallelOptions par)
-{
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-        if (!(std::isfinite(rates[i]) && rates[i] >= 0.0 &&
-              rates[i] < 1.0)) {
-            CRYO_CONTEXT("sweepLoadLatency");
-            fatal("rates[" + std::to_string(i) + "] = " +
-                  std::to_string(rates[i]) +
-                  " outside [0, 1) packets/node/cycle");
-        }
-    }
-    // Each offered-load point is an independent cycle-accurate
-    // simulation on its own network instance, with an RNG stream
-    // derived from (base seed, point index) — never from a shared
-    // serial counter — so the curve is bitwise-identical at any job
-    // count.
-    return parallelMap(
-        rates.size(),
-        [&](std::size_t i) {
-            TrafficSpec spec = traffic;
-            spec.injectionRate = rates[i];
-            spec.seed = Rng::deriveSeed(traffic.seed, i);
-            return measureLoadPoint(factory, spec, opts);
-        },
-        par);
-}
-
 void
 validateSaturationBracket(double hi, double tolerance)
 {
@@ -159,26 +127,50 @@ saturationRate(const NetworkFactory &factory, TrafficSpec traffic,
                double hi, double tolerance, MeasureOpts opts)
 {
     validateSaturationBracket(hi, tolerance);
-    double lo = 0.0;
-    // Ensure hi is actually saturated; if not, the true saturation
-    // point lies outside the bracket — report hi rather than bisecting
-    // a bracket that contains no crossing.
-    {
+    auto saturatedAt = [&](double rate) {
         TrafficSpec spec = traffic;
-        spec.injectionRate = hi;
-        if (!measureLoadPoint(factory, spec, opts).saturated) {
-            warn("saturationRate: network not saturated at hi=" +
-                 std::to_string(hi) +
-                 "; returning hi (raise the bracket)");
-            return hi;
-        }
-    }
+        spec.injectionRate = rate;
+        return measureLoadPoint(factory, spec, opts).saturated;
+    };
+    // The grid hi, hi/2, ... down to the first rate <= tolerance: the
+    // mids a bisection of [0, hi] probes while lo is 0 (0.5 * (0 + x)
+    // is bit-equal to 0.5 * x). The walk starts at the grid's middle
+    // and climbs (see the header for why not at its bottom).
+    std::vector<double> grid{hi};
+    while (grid.back() > tolerance)
+        grid.push_back(0.5 * grid.back());
+    std::size_t j = (grid.size() - 1) / 2;
     // A bisection over a monotone saturation predicate halves the
     // bracket each step, so ~60 iterations exhaust double precision;
     // the cap only trips on floating-point stagnation (mid == lo or
-    // mid == hi), which would otherwise spin forever.
+    // mid == hi), which would otherwise spin forever. it starts at the
+    // number of mids the top-down order (probe hi, then bisect [0, hi])
+    // probes to reach the walk's bracket, so the cap bounds the same
+    // count. When every grid rate above the first saturated one the
+    // walk finds saturates too, the loop below starts in the top-down
+    // order's state: it probes the same mids and returns the same rate.
     constexpr int kMaxBisections = 200;
-    int it = 0;
+    int it = static_cast<int>(j);
+    double lo = 0.0;
+    if (saturatedAt(grid[j])) {
+        hi = grid[j];
+    } else {
+        // Climb until a rate saturates. If not even hi does, the true
+        // saturation point lies outside the bracket — report hi rather
+        // than bisecting a bracket that contains no crossing.
+        do {
+            if (j == 0) {
+                warn("saturationRate: network not saturated at hi=" +
+                     std::to_string(hi) +
+                     "; returning hi (raise the bracket)");
+                return hi;
+            }
+            --j;
+        } while (!saturatedAt(grid[j]));
+        lo = grid[j + 1];
+        hi = grid[j];
+        it = static_cast<int>(j) + 1;
+    }
     while (hi - lo > tolerance) {
         if (++it > kMaxBisections) {
             CRYO_CONTEXT("saturationRate bisection");
@@ -188,9 +180,7 @@ saturationRate(const NetworkFactory &factory, TrafficSpec traffic,
                   ", tolerance=" + std::to_string(tolerance) + ")");
         }
         const double mid = 0.5 * (lo + hi);
-        TrafficSpec spec = traffic;
-        spec.injectionRate = mid;
-        if (measureLoadPoint(factory, spec, opts).saturated)
+        if (saturatedAt(mid))
             hi = mid;
         else
             lo = mid;

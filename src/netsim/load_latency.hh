@@ -9,11 +9,9 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "netsim/network.hh"
 #include "netsim/traffic.hh"
-#include "util/parallel.hh"
 
 namespace cryo::netsim
 {
@@ -50,32 +48,32 @@ LoadPoint measureLoadPoint(const NetworkFactory &factory,
                            TrafficSpec traffic, MeasureOpts opts = {});
 
 /**
- * Sweep injection rates and return the curve; points after the first
- * saturated one are still measured (the curve keeps its shape).
- *
- * Points are simulated concurrently (@p par controls the width; the
- * default follows CRYOWIRE_JOBS), except inside another parallelFor
- * body such as a runner experiment, where they run on the calling
- * thread. Each point runs on a fresh network from @p factory with an
- * RNG stream seeded from (traffic.seed, point index), so the curve is
- * bitwise-identical at any job count. The factory must be callable
- * from multiple threads at once.
- */
-std::vector<LoadPoint> sweepLoadLatency(const NetworkFactory &factory,
-                                        TrafficSpec traffic,
-                                        const std::vector<double> &rates,
-                                        MeasureOpts opts = {},
-                                        ParallelOptions par = {});
-
-/**
  * saturationRate's bracket contract: throws cryo::FatalError unless
  * 0 < @p tolerance < @p hi < 1.
  */
 void validateSaturationBracket(double hi, double tolerance);
 
 /**
- * Binary-search the saturation throughput (packets/node/cycle) of a
- * network under @p traffic, to @p tolerance.
+ * Search the saturation throughput (packets/node/cycle) of a network
+ * under @p traffic: the highest rate found unsaturated, within
+ * @p tolerance of the lowest rate found saturated.
+ *
+ * The search answers on the grid a bisection of [0, @p hi] walks while
+ * its lower end is still 0: r_0 = hi, r_{j+1} = 0.5 r_j, down to the
+ * first r_k <= tolerance. Rather than walk that grid down from hi,
+ * whose top rates run far past saturation and cost the most time and
+ * memory, it probes r_s, s = floor(k/2), first. If r_s saturates, it
+ * bisects [0, r_s]; otherwise it climbs r_{s-1}, r_{s-2}, ... to the
+ * first rate r_j that saturates and bisects [r_{j+1}, r_j]. Either way
+ * the bisection continues exactly as the top-down order (probe hi,
+ * then bisect [0, hi]) would from the same bracket, so the answer is
+ * the top-down one, bit for bit, whenever every grid rate above the
+ * first saturated one the climb finds saturates too. The start is the
+ * middle of the grid, not its bottom: transpose and bit-reverse drop
+ * the packets of their self-mapped nodes (8 of 64), so their accepted
+ * rate tops out at 0.875 x offered, and at the smallest rates, where a
+ * window holds few packets, the starvation test (accepted < 0.85 x
+ * offered) fires by chance.
  *
  * Requires 0 < @p tolerance < @p hi < 1 (throws cryo::FatalError
  * otherwise). Two degenerate bracket shapes resolve gracefully rather

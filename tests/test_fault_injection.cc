@@ -344,14 +344,6 @@ TEST(FaultInjection, LoadLatencyDrivers)
     fast.measureCycles = 400;
 
     expectFatalWithContext(
-        [&] {
-            netsim::sweepLoadLatency(factory, tr, {0.001, kNaN}, fast);
-        },
-        "NaN rate in a sweep");
-    expectFatalWithContext(
-        [&] { netsim::sweepLoadLatency(factory, tr, {-0.5}, fast); },
-        "negative rate in a sweep");
-    expectFatalWithContext(
         [&] { netsim::saturationRate(factory, tr, kNaN, 0.01, fast); },
         "NaN bisection bracket");
     expectFatalWithContext(

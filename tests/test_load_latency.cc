@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <deque>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "netsim/bus_net.hh"
@@ -16,6 +18,8 @@
 #include "netsim/router_net.hh"
 #include "noc/noc_config.hh"
 #include "util/diag.hh"
+#include "util/parallel.hh"
+#include "util/rng.hh"
 
 namespace
 {
@@ -44,6 +48,95 @@ fastOpts()
     return o;
 }
 
+/**
+ * The probe order saturationRate had before it climbed, kept as the
+ * reference its answers must equal: probe hi, then bisect [0, hi]
+ * from the top (its warnings and iteration cap left out).
+ */
+double
+topDownSaturationRate(const NetworkFactory &factory, TrafficSpec traffic,
+                      double hi, double tolerance, MeasureOpts opts)
+{
+    auto saturatedAt = [&](double rate) {
+        traffic.injectionRate = rate;
+        return measureLoadPoint(factory, traffic, opts).saturated;
+    };
+    if (!saturatedAt(hi))
+        return hi;
+    double lo = 0.0;
+    while (hi - lo > tolerance) {
+        const double mid = 0.5 * (lo + hi);
+        if (saturatedAt(mid))
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return lo;
+}
+
+/** Packets injected into, and cycles stepped by, one network. */
+struct OfferedLoad
+{
+    std::uint64_t packets = 0;
+    Cycle cycles = 0;
+    int nodes = 0;
+
+    /** Offered load [packets/node/cycle]. */
+    double
+    rate() const
+    {
+        return static_cast<double>(packets) /
+            (static_cast<double>(cycles) * nodes);
+    }
+};
+
+/** Forwards to a network and counts what it is offered. */
+class CountingNetwork : public Network
+{
+  public:
+    CountingNetwork(std::unique_ptr<Network> inner, OfferedLoad &load)
+        : inner_(std::move(inner)), load_(load)
+    {
+        load_.nodes = inner_->nodes();
+    }
+
+    void
+    inject(const Packet &p) override
+    {
+        ++load_.packets;
+        inner_->inject(p);
+    }
+
+    void
+    step() override
+    {
+        ++load_.cycles;
+        inner_->step();
+        std::vector<Packet> &in = inner_->delivered();
+        delivered_.insert(delivered_.end(), in.begin(), in.end());
+        in.clear();
+    }
+
+    Cycle now() const override { return inner_->now(); }
+    int nodes() const override { return inner_->nodes(); }
+    std::size_t inFlight() const override { return inner_->inFlight(); }
+
+  private:
+    std::unique_ptr<Network> inner_;
+    OfferedLoad &load_;
+};
+
+/** @p factory, recording one OfferedLoad per network it builds. */
+NetworkFactory
+countingFactory(NetworkFactory factory, std::deque<OfferedLoad> &loads)
+{
+    return [factory = std::move(factory),
+            &loads]() -> std::unique_ptr<Network> {
+        return std::make_unique<CountingNetwork>(factory(),
+                                                 loads.emplace_back());
+    };
+}
+
 TEST(LoadLatency, ZeroLoadMatchesAnalytic)
 {
     TrafficSpec tr;
@@ -53,11 +146,15 @@ TEST(LoadLatency, ZeroLoadMatchesAnalytic)
 
 TEST(LoadLatency, CurveIsMonotone)
 {
-    TrafficSpec tr;
-    const auto curve = sweepLoadLatency(
-        cryoBusFactory(), tr, {0.001, 0.004, 0.008, 0.012, 0.015},
-        fastOpts());
-    ASSERT_EQ(curve.size(), 5u);
+    const TrafficSpec tr;
+    const std::vector<double> rates = {0.001, 0.004, 0.008, 0.012, 0.015};
+    std::vector<LoadPoint> curve;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        TrafficSpec spec = tr;
+        spec.injectionRate = rates[i];
+        spec.seed = cryo::Rng::deriveSeed(tr.seed, i);
+        curve.push_back(measureLoadPoint(cryoBusFactory(), spec, fastOpts()));
+    }
     for (std::size_t i = 1; i < curve.size(); ++i)
         EXPECT_GE(curve[i].avgLatency, curve[i - 1].avgLatency - 0.4);
     EXPECT_FALSE(curve.front().saturated);
@@ -138,21 +235,6 @@ TEST(LoadLatency, SaturationRateAlwaysSaturatedReturnsZero)
     EXPECT_DOUBLE_EQ(sat, 0.0);
 }
 
-TEST(LoadLatency, SweepRejectsInvalidRates)
-{
-    TrafficSpec tr;
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(
-        sweepLoadLatency(cryoBusFactory(), tr, {0.001, nan}, fastOpts()),
-        FatalError);
-    EXPECT_THROW(
-        sweepLoadLatency(cryoBusFactory(), tr, {-0.2}, fastOpts()),
-        FatalError);
-    EXPECT_THROW(
-        sweepLoadLatency(cryoBusFactory(), tr, {1.0}, fastOpts()),
-        FatalError);
-}
-
 TEST(LoadLatency, InterleavingDoublesSaturation)
 {
     TrafficSpec tr;
@@ -161,6 +243,105 @@ TEST(LoadLatency, InterleavingDoublesSaturation)
     const double two =
         saturationRate(cryoBusFactory(2), tr, 0.08, 0.002, fastOpts());
     EXPECT_NEAR(two / one, 2.0, 0.25);
+}
+
+TEST(LoadLatency, SaturationSearchMatchesTopDownBisection)
+{
+    // fig21/25's bracket: hi 0.6 halves to the first grid rate at or
+    // below the tolerance in k = 9 steps at 0.002 (odd) and k = 8 at
+    // 0.003 (even); either way the search starts at 0.6 / 16 = 0.0375.
+    constexpr double kHi = 0.6;
+    constexpr double kStart = kHi / 16.0;
+    struct Case
+    {
+        std::string name;
+        NetworkFactory factory;
+        TrafficSpec traffic;
+        double tolerance;
+    };
+    std::vector<Case> cases;
+    // Router networks saturate above the start, so the search climbs;
+    // they are the slowest cases, so they go first.
+    static Technology tech = Technology::freePdk45();
+    const cryo::noc::NocDesigner designer{tech, 16};
+    TrafficSpec directory;
+    directory.responseFlits = 5;
+    auto router = [](const cryo::noc::NocConfig &cfg) -> NetworkFactory {
+        const RouterNetConfig rc = RouterNetConfig::fromConfig(cfg);
+        return [rc]() -> std::unique_ptr<Network> {
+            return std::make_unique<RouterNetwork>(rc);
+        };
+    };
+    cases.push_back({"mesh16", router(designer.mesh(77.0, 1)), directory,
+                     0.003});
+    cases.push_back({"fb16", router(designer.flattenedButterfly(77.0, 3)),
+                     directory, 0.002});
+    // The buses saturate below the start, so the search bisects down.
+    for (int ways : {1, 2}) {
+        for (TrafficPattern pattern :
+             {TrafficPattern::UniformRandom, TrafficPattern::Transpose,
+              TrafficPattern::BitReverse, TrafficPattern::Hotspot,
+              TrafficPattern::Burst}) {
+            for (std::uint64_t seed : {1, 2, 3}) {
+                TrafficSpec tr;
+                tr.pattern = pattern;
+                tr.seed = seed;
+                cases.push_back({"cryobus " + std::to_string(ways) +
+                                     "-way " + trafficPatternName(pattern) +
+                                     " seed " + std::to_string(seed),
+                                 cryoBusFactory(ways), tr,
+                                 ways == 1 ? 0.002 : 0.003});
+            }
+        }
+    }
+
+    // The cases are independent, deterministic simulations, so they
+    // run concurrently; the checks below run in case order.
+    const auto answers = cryo::parallelMap(
+        cases.size(),
+        [&cases](std::size_t i) {
+            const Case &c = cases[i];
+            return std::pair{
+                saturationRate(c.factory, c.traffic, kHi, c.tolerance,
+                               fastOpts()),
+                topDownSaturationRate(c.factory, c.traffic, kHi,
+                                      c.tolerance, fastOpts())};
+        },
+        cryo::ParallelOptions{0, 1});
+    int above = 0;
+    int below = 0;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const auto [sat, reference] = answers[i];
+        EXPECT_EQ(sat, reference) << cases[i].name;
+        if (sat > kStart)
+            ++above;
+        else
+            ++below;
+    }
+    // Both branches of the search ran.
+    EXPECT_GT(above, 0);
+    EXPECT_GT(below, 0);
+}
+
+TEST(LoadLatency, SaturationSearchNeverProbesFarPastSaturation)
+{
+    // CryoBus under uniform traffic saturates at ~1/64 = 0.0156.
+    std::deque<OfferedLoad> loads;
+    const NetworkFactory bus = countingFactory(cryoBusFactory(), loads);
+    const TrafficSpec tr;
+    const double sat = saturationRate(bus, tr, 0.6, 0.003, fastOpts());
+    EXPECT_NEAR(sat, 0.0164, 0.003);
+    // Every probe stays within a few times the crossing; probing hi
+    // first would offer 0.6.
+    for (std::size_t i = 0; i < loads.size(); ++i)
+        EXPECT_LT(loads[i].rate(), 0.1) << "network " << i;
+    // 0.0375, then bisect [0, 0.0375] to the 0.003 tolerance.
+    const std::size_t built = loads.size();
+    EXPECT_EQ(built, 5u);
+
+    loads.clear();
+    EXPECT_EQ(topDownSaturationRate(bus, tr, 0.6, 0.003, fastOpts()), sat);
+    EXPECT_LT(built, loads.size());
 }
 
 TEST(LoadLatency, ThroughputTracksOfferedBelowSaturation)

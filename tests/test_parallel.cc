@@ -2,8 +2,7 @@
  * @file
  * Tests for the parallel sweep engine: the thread pool, the chunked
  * deterministic parallelFor/parallelMap and its one level of
- * parallelism, and the bitwise determinism of the netsim load-latency
- * sweep across job counts.
+ * parallelism, and the per-point RNG streams.
  */
 
 #include <gtest/gtest.h>
@@ -11,16 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "netsim/bus_net.hh"
-#include "netsim/load_latency.hh"
-#include "noc/noc_config.hh"
-#include "tech/technology.hh"
 #include "util/diag.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
@@ -30,7 +24,6 @@ namespace
 {
 
 using namespace cryo;
-using namespace cryo::netsim;
 
 TEST(ThreadPool, DefaultThreadsAtLeastOne)
 {
@@ -229,54 +222,6 @@ TEST(Rng, DerivedSeedsAreDeterministicAndDistinct)
     EXPECT_NE(Rng::deriveSeed(7, 3), Rng::deriveSeed(8, 3));
     // Consecutive streams must not produce consecutive raw seeds.
     EXPECT_NE(Rng::deriveSeed(7, 4) - Rng::deriveSeed(7, 3), 1u);
-}
-
-TEST(Parallel, SweepBitwiseIdenticalAcrossJobCounts)
-{
-    static tech::Technology technology = tech::Technology::freePdk45();
-    noc::NocDesigner designer{technology};
-    const BusTiming timing =
-        BusTiming::fromConfig(designer.cryoBus(), 1);
-    const NetworkFactory factory =
-        [timing]() -> std::unique_ptr<Network> {
-        return std::make_unique<BusNetwork>(64, timing);
-    };
-
-    const std::vector<double> rates = {0.002, 0.006, 0.010,
-                                       0.014, 0.018, 0.022};
-    TrafficSpec tr;
-    MeasureOpts opts;
-    opts.warmupCycles = 500;
-    opts.measureCycles = 2000;
-
-    ParallelOptions serial;
-    serial.jobs = 1;
-    const auto reference = sweepLoadLatency(factory, tr, rates, opts,
-                                            serial);
-    ASSERT_EQ(reference.size(), rates.size());
-
-    for (int jobs : {2, 8}) {
-        ParallelOptions par;
-        par.jobs = jobs;
-        const auto curve =
-            sweepLoadLatency(factory, tr, rates, opts, par);
-        ASSERT_EQ(curve.size(), reference.size());
-        for (std::size_t i = 0; i < curve.size(); ++i) {
-            // Bitwise identity, not a tolerance: the parallel engine
-            // must not perturb any measurement.
-            EXPECT_EQ(curve[i].injectionRate,
-                      reference[i].injectionRate)
-                << "jobs=" << jobs << " point " << i;
-            EXPECT_EQ(curve[i].avgLatency, reference[i].avgLatency)
-                << "jobs=" << jobs << " point " << i;
-            EXPECT_EQ(curve[i].p99Latency, reference[i].p99Latency)
-                << "jobs=" << jobs << " point " << i;
-            EXPECT_EQ(curve[i].throughput, reference[i].throughput)
-                << "jobs=" << jobs << " point " << i;
-            EXPECT_EQ(curve[i].saturated, reference[i].saturated)
-                << "jobs=" << jobs << " point " << i;
-        }
-    }
 }
 
 } // namespace
