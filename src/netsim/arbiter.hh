@@ -1,12 +1,14 @@
 /**
  * @file
- * Bus/switch arbiters. CryoBus uses a matrix arbiter in the central
- * controller (Fig. 19, step 2); the routers use round-robin.
+ * The bus arbiter. CryoBus uses a matrix arbiter in the central
+ * controller (Fig. 19, step 2); the routers arbitrate with their own
+ * per-link round-robin pointers (router_net.hh).
  */
 
 #ifndef CRYOWIRE_NETSIM_ARBITER_HH
 #define CRYOWIRE_NETSIM_ARBITER_HH
 
+#include <cstdint>
 #include <vector>
 
 namespace cryo::netsim
@@ -15,8 +17,13 @@ namespace cryo::netsim
 /**
  * Matrix arbiter: a least-recently-served priority matrix. W[i][j]
  * set means i beats j; the winner's row is cleared and column set,
- * making it lowest priority next time - strong fairness with O(n^2)
- * state, the classic choice for bus arbitration.
+ * making it lowest priority next time - strong fairness, the classic
+ * choice for bus arbitration.
+ *
+ * The matrix is always a total order (it starts as one and every
+ * grant moves the winner to the bottom), so it is kept as one
+ * last-granted stamp per requester: i beats j iff i's stamp is
+ * smaller. A grant is O(n) and the state is n words.
  */
 class MatrixArbiter
 {
@@ -36,23 +43,9 @@ class MatrixArbiter
 
   private:
     int n_;
-    std::vector<bool> w_; ///< n x n row-major priority matrix
-};
-
-/**
- * Round-robin arbiter for router switch allocation.
- */
-class RoundRobinArbiter
-{
-  public:
-    explicit RoundRobinArbiter(int requesters);
-
-    /** Pick the next requester at or after the rotating pointer. */
-    int arbitrate(const std::vector<bool> &requests);
-
-  private:
-    int n_;
-    int next_ = 0;
+    /** Per requester: when it last won; initially its index. */
+    std::vector<std::uint64_t> stamp_;
+    std::uint64_t clock_; ///< the next grant's stamp
 };
 
 } // namespace cryo::netsim

@@ -88,7 +88,7 @@ HybridNetwork::step()
     // 3. Step the buses and classify their deliveries.
     for (int c = 0; c < cfg_.clusters; ++c) {
         buses_[static_cast<std::size_t>(c)]->step();
-        for (Packet &done :
+        for (const Packet &done :
              buses_[static_cast<std::size_t>(c)]->drainDelivered()) {
             const Packet &orig = origin_.at(done.id);
             if (clusterOf(orig.dst) == c) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/diag.hh"
@@ -29,9 +28,13 @@ measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
     fatalIf(!net, "network factory returned null");
     TrafficGenerator gen(net->nodes(), traffic);
 
-    // Round-trip bookkeeping for request-response mode: request id ->
-    // original injection cycle.
-    std::unordered_map<std::uint64_t, Cycle> outstanding;
+    // Round-trip bookkeeping for request-response mode: the cycle each
+    // request was injected, indexed by id - first_id. The generator
+    // numbers requests densely from 1, so the table is a plain vector;
+    // the warm-up's requests are dropped from it, and responses to
+    // them (ids below first_id) are not recorded.
+    std::vector<Cycle> issued_at;
+    std::uint64_t first_id = 1;
     constexpr std::uint64_t kResponseBit = 1ull << 62;
 
     RunningStats lat;
@@ -42,8 +45,11 @@ measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
         for (Cycle c = 0; c < cycles; ++c) {
             for (const Packet &p : gen.tick(net->now())) {
                 net->inject(p);
-                if (traffic.responseFlits > 0)
-                    outstanding[p.id] = net->now();
+                if (traffic.responseFlits > 0) {
+                    if (p.id != first_id + issued_at.size())
+                        panic("request ids must run densely from 1");
+                    issued_at.push_back(net->now());
+                }
             }
             net->step();
             for (const Packet &p : net->drainDelivered()) {
@@ -60,12 +66,10 @@ measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
                         continue;
                     }
                     const std::uint64_t orig = p.id & ~kResponseBit;
-                    const auto it = outstanding.find(orig);
-                    if (it == outstanding.end())
+                    if (orig < first_id)
                         continue; // response to a pre-window request
-                    const double rtt =
-                        static_cast<double>(net->now() - it->second);
-                    outstanding.erase(it);
+                    const double rtt = static_cast<double>(
+                        net->now() - issued_at[orig - first_id]);
                     if (record) {
                         lat.add(rtt);
                         hist.add(rtt);
@@ -82,7 +86,8 @@ measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
 
     // Warm-up: run traffic without recording.
     run(opts.warmupCycles, false);
-    outstanding.clear();
+    first_id += issued_at.size();
+    issued_at.clear();
     const std::size_t backlog_start = std::max<std::size_t>(
         net->inFlight(), 8);
     run(opts.measureCycles, true);

@@ -40,17 +40,26 @@ class Network
     /** Delivered packets since the last drain. */
     std::vector<Packet> &delivered() { return delivered_; }
 
-    /** Move out and clear the delivered list. */
-    std::vector<Packet>
+    /**
+     * Hand over the packets delivered since the last drain and start a
+     * new list. The returned buffer belongs to the network and is
+     * valid until the next drainDelivered() call, which reuses it: two
+     * buffers trade places, so a drain every cycle allocates nothing
+     * once both have grown.
+     */
+    const std::vector<Packet> &
     drainDelivered()
     {
-        std::vector<Packet> out = std::move(delivered_);
-        delivered_.clear();
-        return out;
+        drained_.clear();
+        drained_.swap(delivered_);
+        return drained_;
     }
 
   protected:
     std::vector<Packet> delivered_;
+
+  private:
+    std::vector<Packet> drained_; ///< the last drain's packets
 };
 
 } // namespace cryo::netsim

@@ -41,6 +41,32 @@ visitFrom(const std::uint64_t *set, int words, int start, F &&visit)
     }
 }
 
+/**
+ * Call @p visit(s) for each bit s in [@p first, @p end) of @p live, in
+ * increasing order. The bitset is read afresh after every visit, so a
+ * bit above s that @p visit sets is visited too, and one it clears is
+ * not.
+ */
+template <class F>
+void
+forEachLive(const std::vector<std::uint64_t> &live, int first, int end,
+            F &&visit)
+{
+    for (int s = first; s < end; ++s) {
+        const std::uint64_t bits =
+            live[static_cast<std::size_t>(s >> 6)] &
+            (~std::uint64_t{0} << (s & 63));
+        if (bits == 0) {
+            s |= 63; // on to the next word
+            continue;
+        }
+        s = (s & ~63) + std::countr_zero(bits);
+        if (s >= end)
+            return;
+        visit(s);
+    }
+}
+
 } // namespace
 
 RouterNetConfig
@@ -67,6 +93,8 @@ RouterNetwork::RouterNetwork(RouterNetConfig cfg) : cfg_(cfg)
             "cores must divide evenly across routers");
     fatalIf(cfg_.routerCycles < 1, "router pipeline must be >= 1 cycle");
     fatalIf(cfg_.virtualChannels < 1, "need at least one VC");
+    fatalIf(cfg_.virtualChannels > UINT16_MAX,
+            "at most 65535 VCs per link");
     fatalIf(cfg_.vcBufferFlits < 1, "VC buffers must hold >= 1 flit");
     fatalIf(cfg_.hopsPerCycle < 1, "links cover >= 1 hop per cycle");
 
@@ -76,7 +104,7 @@ RouterNetwork::RouterNetwork(RouterNetConfig cfg) : cfg_(cfg)
             "router count must form a square grid");
 
     outLinks_.resize(static_cast<std::size_t>(routers_));
-    inQueueIds_.resize(static_cast<std::size_t>(routers_));
+    vcQueues_.assign(static_cast<std::size_t>(routers_), 0);
 
     // Router spacing in tile hops: concentrated networks space their
     // routers sqrt(concentration) tiles apart.
@@ -95,15 +123,33 @@ RouterNetwork::RouterNetwork(RouterNetConfig cfg) : cfg_(cfg)
         fatal("RouterNetwork only models Mesh, CMesh and FB");
     }
 
-    // One injection queue per node at its local router (the NI source
+    // Number the input queues router by router. A router's positions
+    // run over one VC queue per VC of each incoming link, in link-id
+    // order, then one NI source queue per local node (the injection
     // queue: unbounded, latency accrues there under overload).
-    injectQueueId_.resize(static_cast<std::size_t>(cfg_.cores));
-    for (int n = 0; n < cfg_.cores; ++n) {
-        injectQueueId_[static_cast<std::size_t>(n)] =
-            addQueue(routerOf(n), 0);
+    queueBase_.assign(static_cast<std::size_t>(routers_) + 1, 0);
+    int widest = 0;
+    for (int r = 0; r < routers_; ++r) {
+        const int count =
+            vcQueues_[static_cast<std::size_t>(r)] + cfg_.concentration;
+        queueBase_[static_cast<std::size_t>(r) + 1] =
+            queueBase_[static_cast<std::size_t>(r)] + count;
+        widest = std::max(widest, count);
     }
-
-    rrPointer_.assign(links_.size(), 0);
+    std::vector<int> next_pos(static_cast<std::size_t>(routers_), 0);
+    for (Link &l : links_) {
+        int &pos = next_pos[static_cast<std::size_t>(l.to)];
+        l.toQueueBase = queueBase_[static_cast<std::size_t>(l.to)] + pos;
+        pos += cfg_.virtualChannels;
+    }
+    const auto queue_count = static_cast<std::size_t>(queueBase_.back());
+    queues_.resize(queue_count);
+    ring_.resize(queue_count * static_cast<std::size_t>(cfg_.vcBufferFlits));
+    niQueues_.resize(static_cast<std::size_t>(cfg_.cores));
+    locks_.assign(links_.size() *
+                      static_cast<std::size_t>(cfg_.virtualChannels),
+                  {kNoPacket, -1});
+    ejectedAt_.assign(static_cast<std::size_t>(cfg_.cores), ~Cycle{0});
 
     // Routing is static: resolve every (router, destination router)
     // pair once, to the candidate set a head bound there joins.
@@ -117,24 +163,20 @@ RouterNetwork::RouterNetwork(RouterNetConfig cfg) : cfg_(cfg)
         }
     }
 
-    std::size_t widest = 0;
-    for (const auto &ids : inQueueIds_)
-        widest = std::max(widest, ids.size());
-    candWords_ = static_cast<int>((widest + 63) / 64);
-    cand_.assign((links_.size() + static_cast<std::size_t>(routers_)) *
-                     static_cast<std::size_t>(candWords_),
-                 0);
-}
+    candWords_ = (widest + 63) / 64;
+    const std::size_t sets =
+        links_.size() + static_cast<std::size_t>(routers_);
+    cand_.assign(sets * static_cast<std::size_t>(candWords_), 0);
+    live_.assign((sets + 63) / 64, 0);
 
-int
-RouterNetwork::addQueue(int router, int capacity)
-{
-    auto &ids = inQueueIds_[static_cast<std::size_t>(router)];
-    const int qid = static_cast<int>(queues_.size());
-    queues_.push_back({{}, 0, capacity, router,
-                       static_cast<int>(ids.size())});
-    ids.push_back(qid);
-    return qid;
+    // The longest a head waits: a flit sent into an empty VC queue
+    // becomes its head at once, and is ready one link traversal plus
+    // the router pipeline later. An NI head waits the pipeline alone.
+    int longest_link = 0;
+    for (const Link &l : links_)
+        longest_link = std::max(longest_link, l.cycles);
+    wheel_.resize(std::bit_ceil(
+        static_cast<std::size_t>(cfg_.routerCycles + longest_link) + 1));
 }
 
 int
@@ -158,21 +200,12 @@ RouterNetwork::flowVc(int src, int dst) const
 void
 RouterNetwork::addLink(int from, int to, int cycles)
 {
-    Link l;
-    l.from = from;
-    l.to = to;
-    l.cycles = cycles;
-    l.lockedPkt.assign(static_cast<std::size_t>(cfg_.virtualChannels),
-                       0);
-    l.lockedQueue.assign(static_cast<std::size_t>(cfg_.virtualChannels),
-                         -1);
-    // One buffered queue per VC at the downstream input.
-    l.toQueueBase = static_cast<int>(queues_.size());
-    for (int v = 0; v < cfg_.virtualChannels; ++v)
-        addQueue(to, cfg_.vcBufferFlits);
+    // One buffered queue per VC at the downstream input; the
+    // constructor numbers them once every link exists.
+    vcQueues_[static_cast<std::size_t>(to)] += cfg_.virtualChannels;
     outLinks_[static_cast<std::size_t>(from)].push_back(
         static_cast<int>(links_.size()));
-    links_.push_back(std::move(l));
+    links_.push_back({from, to, -1, cycles});
 }
 
 void
@@ -250,6 +283,72 @@ RouterNetwork::route(int router, int dst_router) const
     fatal("route produced a missing link");
 }
 
+std::size_t
+RouterNetwork::SlotIndex::home(std::uint64_t id) const
+{
+    // Fibonacci hashing: the multiply spreads dense ids, and ids that
+    // differ only in a high bit, over the top bits.
+    return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ull) >>
+                                    shift_);
+}
+
+void
+RouterNetwork::SlotIndex::grow(const std::vector<Packet> &slab)
+{
+    const std::vector<std::uint32_t> old = std::move(table_);
+    table_.assign(old.empty() ? 64 : 2 * old.size(), kNoPacket);
+    shift_ = 64 - std::countr_zero(table_.size());
+    const std::size_t mask = table_.size() - 1;
+    for (const std::uint32_t slot : old) {
+        if (slot == kNoPacket)
+            continue;
+        std::size_t i = home(slab[slot].id);
+        while (table_[i] != kNoPacket)
+            i = (i + 1) & mask;
+        table_[i] = slot;
+    }
+}
+
+bool
+RouterNetwork::SlotIndex::insert(std::uint64_t id, std::uint32_t slot,
+                                 const std::vector<Packet> &slab)
+{
+    if (2 * (size_ + 1) > table_.size())
+        grow(slab);
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = home(id);; i = (i + 1) & mask) {
+        if (table_[i] == kNoPacket) {
+            table_[i] = slot;
+            ++size_;
+            return true;
+        }
+        if (slab[table_[i]].id == id)
+            return false;
+    }
+}
+
+void
+RouterNetwork::SlotIndex::erase(std::uint64_t id, std::uint32_t slot,
+                                const std::vector<Packet> &slab)
+{
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = home(id);
+    while (table_[hole] != slot)
+        hole = (hole + 1) & mask;
+    // Backward shift: move each later entry of the probe run into the
+    // hole, unless that would put it before its home.
+    for (std::size_t j = (hole + 1) & mask; table_[j] != kNoPacket;
+         j = (j + 1) & mask) {
+        const std::size_t h = home(slab[table_[j]].id);
+        if (((j - h) & mask) >= ((j - hole) & mask)) {
+            table_[hole] = table_[j];
+            hole = j;
+        }
+    }
+    table_[hole] = kNoPacket;
+    --size_;
+}
+
 void
 RouterNetwork::inject(const Packet &p)
 {
@@ -257,101 +356,162 @@ RouterNetwork::inject(const Packet &p)
     fatalIf(p.dst < 0 || p.dst >= cfg_.cores, "destination out of range");
     fatalIf(p.id == 0, "packet ids must be non-zero");
     fatalIf(p.flits < 1, "packets carry at least one flit");
+    const bool reuse = !freeSlots_.empty();
+    const std::uint32_t slot = reuse
+        ? freeSlots_.back()
+        : static_cast<std::uint32_t>(packets_.size());
+    fatalIf(!ids_.insert(p.id, slot, packets_),
+            "packet id already in flight");
     Packet copy = p;
     copy.injected = now_;
-    fatalIf(!active_.emplace(copy.id, copy).second,
-            "packet id already in flight");
-    auto &q =
-        queues_[static_cast<std::size_t>(injectQueueId_[
-            static_cast<std::size_t>(p.src)])];
-    const bool was_empty = q.q.empty();
-    const int vc = flowVc(p.src, p.dst);
+    if (reuse) {
+        freeSlots_.pop_back();
+        packets_[slot] = copy;
+    } else {
+        packets_.push_back(copy);
+    }
+
+    const int r = routerOf(p.src);
+    const int pos = vcQueues_[static_cast<std::size_t>(r)] +
+        p.src % cfg_.concentration;
+    InQueue &q = queues_[static_cast<std::size_t>(
+        queueBase_[static_cast<std::size_t>(r)] + pos)];
+    auto &ni = niQueues_[static_cast<std::size_t>(p.src)];
+    const bool was_empty = ni.empty();
+    const int dst_router = routerOf(p.dst);
+    const auto vc = static_cast<std::uint16_t>(flowVc(p.src, p.dst));
     for (int s = 0; s < p.flits; ++s) {
         // The NI presents flits back-to-back after the local router's
         // pipeline latency.
-        q.q.push_back({copy.id,
-                       now_ + static_cast<Cycle>(cfg_.routerCycles + s),
-                       routerOf(p.dst), p.dst % cfg_.concentration, vc,
-                       s == 0, s == p.flits - 1});
-        q.reserved += 1;
+        ni.push_back({now_ + static_cast<Cycle>(cfg_.routerCycles + s),
+                      slot, dst_router, p.dst, vc, s == 0,
+                      s == p.flits - 1});
     }
-    if (was_empty)
-        enlistHead(q);
+    q.reserved += p.flits;
+    if (was_empty) {
+        q.front = ni.front();
+        offerHead(r, pos, q.front);
+    }
 }
 
 void
-RouterNetwork::enlistHead(const InQueue &q)
+RouterNetwork::join(int set, int pos)
 {
-    if (q.q.empty())
+    cand_[static_cast<std::size_t>(set * candWords_ + (pos >> 6))] |=
+        std::uint64_t{1} << (pos & 63);
+    live_[static_cast<std::size_t>(set >> 6)] |= std::uint64_t{1}
+        << (set & 63);
+}
+
+void
+RouterNetwork::leave(int set, int pos)
+{
+    std::uint64_t *words =
+        &cand_[static_cast<std::size_t>(set * candWords_)];
+    words[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+    if (std::all_of(words, words + candWords_,
+                    [](std::uint64_t w) { return w == 0; })) {
+        live_[static_cast<std::size_t>(set >> 6)] &=
+            ~(std::uint64_t{1} << (set & 63));
+    }
+}
+
+void
+RouterNetwork::offerHead(int r, int pos, const FlitEntry &f)
+{
+    const int set =
+        hopSet_[static_cast<std::size_t>(r * routers_ + f.dstRouter)];
+    if (f.readyAt <= now_) {
+        join(set, pos);
         return;
-    const int set = hopSet_[static_cast<std::size_t>(
-        q.router * routers_ + q.q.front().dstRouter)];
-    cand_[static_cast<std::size_t>(set * candWords_ + (q.pos >> 6))] |=
-        std::uint64_t{1} << (q.pos & 63);
+    }
+    if (f.readyAt - now_ >= wheel_.size())
+        panic("a head waits longer than the ready wheel spans");
+    wheel_[static_cast<std::size_t>(f.readyAt & (wheel_.size() - 1))]
+        .push_back({set, pos});
 }
 
 void
-RouterNetwork::popHead(InQueue &q, int set)
+RouterNetwork::popHead(int r, int pos, int set)
 {
-    q.q.pop_front();
-    q.reserved -= 1;
-    cand_[static_cast<std::size_t>(set * candWords_ + (q.pos >> 6))] &=
-        ~(std::uint64_t{1} << (q.pos & 63));
-    enlistHead(q);
+    leave(set, pos);
+    const int qid = queueBase_[static_cast<std::size_t>(r)] + pos;
+    InQueue &q = queues_[static_cast<std::size_t>(qid)];
+    --q.reserved;
+    const int vc_queues = vcQueues_[static_cast<std::size_t>(r)];
+    if (pos < vc_queues) {
+        q.ringHead =
+            q.ringHead + 1 == cfg_.vcBufferFlits ? 0 : q.ringHead + 1;
+        if (q.reserved == 0)
+            return;
+        q.front = ring_[static_cast<std::size_t>(
+            qid * cfg_.vcBufferFlits + q.ringHead)];
+    } else {
+        auto &ni = niQueues_[static_cast<std::size_t>(
+            r * cfg_.concentration + pos - vc_queues)];
+        ni.pop_front();
+        if (ni.empty())
+            return;
+        q.front = ni.front();
+    }
+    offerHead(r, pos, q.front);
 }
 
 void
 RouterNetwork::serviceLink(int lid)
 {
     Link &l = links_[static_cast<std::size_t>(lid)];
-    const auto &in_ids = inQueueIds_[static_cast<std::size_t>(l.from)];
-    int &ptr = rrPointer_[static_cast<std::size_t>(lid)];
+    const int base = queueBase_[static_cast<std::size_t>(l.from)];
+    const int count =
+        queueBase_[static_cast<std::size_t>(l.from) + 1] - base;
+    VcLock *locks =
+        &locks_[static_cast<std::size_t>(lid * cfg_.virtualChannels)];
 
-    // Every candidate's head routes out through this link, so only the
-    // VC, readiness and credit checks remain.
+    // Every candidate's head is ready and routes out through this
+    // link, so only the VC and credit checks remain.
     auto try_send = [&](int pos) -> bool {
-        const int qid = in_ids[static_cast<std::size_t>(pos)];
-        InQueue &q = queues_[static_cast<std::size_t>(qid)];
-        FlitEntry &f = q.q.front();
-        if (f.readyAt > now_)
-            return false;
-
-        const auto vc = static_cast<std::size_t>(f.vc);
-        if (l.lockedPkt[vc] != 0) {
+        const int qid = base + pos;
+        const FlitEntry &f = queues_[static_cast<std::size_t>(qid)].front;
+        VcLock &lock = locks[f.vc];
+        if (lock.pkt != kNoPacket) {
             // The VC is held by a packet in flight; only its next flit
             // (from the same input queue) may use it.
-            if (f.pkt != l.lockedPkt[vc] || qid != l.lockedQueue[vc])
+            if (f.pkt != lock.pkt || qid != lock.queue)
                 return false;
         } else if (!f.head) {
             return false;
         }
 
-        InQueue &dst_q =
-            queues_[static_cast<std::size_t>(l.toQueueBase + f.vc)];
-        if (dst_q.capacity > 0 && dst_q.reserved >= dst_q.capacity)
+        const int dst_qid = l.toQueueBase + f.vc;
+        InQueue &dst_q = queues_[static_cast<std::size_t>(dst_qid)];
+        if (dst_q.reserved >= cfg_.vcBufferFlits)
             return false; // no credit downstream on this VC
 
-        // Move the flit: it arrives after the wire traversal and is
-        // routable after the downstream router pipeline.
+        // Move the flit into the ring slot its credit reserved: it
+        // arrives after the wire traversal and is routable after the
+        // downstream router pipeline.
         FlitEntry moved = f;
         moved.readyAt = now_ + static_cast<Cycle>(l.cycles)
             + static_cast<Cycle>(cfg_.routerCycles);
-        dst_q.reserved += 1;
-        inFlight_.push_back(
-            {now_ + static_cast<Cycle>(l.cycles),
-             l.toQueueBase + f.vc, moved});
+        int slot = dst_q.ringHead + dst_q.reserved;
+        if (slot >= cfg_.vcBufferFlits)
+            slot -= cfg_.vcBufferFlits;
+        ring_[static_cast<std::size_t>(
+            dst_qid * cfg_.vcBufferFlits + slot)] = moved;
+        if (dst_q.reserved++ == 0) {
+            dst_q.front = moved;
+            offerHead(l.to,
+                      dst_qid - queueBase_[static_cast<std::size_t>(l.to)],
+                      moved);
+        }
 
-        if (moved.head) {
-            l.lockedPkt[vc] = moved.pkt;
-            l.lockedQueue[vc] = qid;
-        }
-        if (moved.tail) {
-            l.lockedPkt[vc] = 0;
-            l.lockedQueue[vc] = -1;
-        }
-        popHead(q, lid);
+        if (moved.head)
+            lock = {moved.pkt, qid};
+        if (moved.tail)
+            lock = {kNoPacket, -1};
+        popHead(l.from, pos, lid);
         const int next = pos + 1;
-        ptr = next == static_cast<int>(in_ids.size()) ? 0 : next;
+        l.rrPointer = next == count ? 0 : next;
         return true;
     };
 
@@ -359,7 +519,7 @@ RouterNetwork::serviceLink(int lid)
     // across this router's input queues (covering all VCs) arbitrates
     // both switch allocation and VC interleaving.
     visitFrom(&cand_[static_cast<std::size_t>(lid * candWords_)],
-              candWords_, ptr, try_send);
+              candWords_, l.rrPointer, try_send);
 }
 
 void
@@ -368,31 +528,23 @@ RouterNetwork::serviceEjection(int r)
     // One ejection port per router-local node; each can sink one flit
     // per cycle.
     const int set = ejectSet(r);
-    const std::uint64_t *members =
-        &cand_[static_cast<std::size_t>(set * candWords_)];
-    if (std::all_of(members, members + candWords_,
-                    [](std::uint64_t w) { return w == 0; }))
-        return;
-    const auto &in_ids = inQueueIds_[static_cast<std::size_t>(r)];
-    std::vector<bool> &port_used = ejectScratch_;
-    port_used.assign(static_cast<std::size_t>(cfg_.concentration), false);
-    visitFrom(members, candWords_, 0, [&](int pos) {
-        const int qid = in_ids[static_cast<std::size_t>(pos)];
-        InQueue &q = queues_[static_cast<std::size_t>(qid)];
-        const FlitEntry &f = q.q.front();
-        if (f.readyAt > now_)
+    const int base = queueBase_[static_cast<std::size_t>(r)];
+    visitFrom(&cand_[static_cast<std::size_t>(set * candWords_)],
+              candWords_, 0, [&](int pos) {
+        const FlitEntry &f =
+            queues_[static_cast<std::size_t>(base + pos)].front;
+        Cycle &port = ejectedAt_[static_cast<std::size_t>(f.dst)];
+        if (port == now_)
             return false;
-        const auto port = static_cast<std::size_t>(f.dstPort);
-        if (port_used[port])
-            return false;
-        port_used[port] = true;
+        port = now_;
         if (f.tail) {
-            const auto it = active_.find(f.pkt);
-            it->second.delivered = now_;
-            delivered_.push_back(it->second);
-            active_.erase(it);
+            Packet &done = packets_[f.pkt];
+            done.delivered = now_;
+            delivered_.push_back(done);
+            ids_.erase(done.id, f.pkt, packets_);
+            freeSlots_.push_back(f.pkt);
         }
-        popHead(q, set);
+        popHead(r, pos, set);
         return false;
     });
 }
@@ -400,31 +552,21 @@ RouterNetwork::serviceEjection(int r)
 void
 RouterNetwork::step()
 {
-    // 1. Land in-flight flits that arrive this cycle. Per-VC queues
-    //    are each fed by one link at one flit per cycle, so order is
-    //    preserved; one stable compaction pass (order-preserving)
-    //    replaces repeated O(n) mid-scan erases.
-    std::size_t keep = 0;
-    for (auto &arrival : inFlight_) {
-        if (arrival.at <= now_) {
-            InQueue &q = queues_[static_cast<std::size_t>(arrival.queue)];
-            q.q.push_back(arrival.flit);
-            if (q.q.size() == 1)
-                enlistHead(q);
-        } else {
-            inFlight_[keep++] = arrival;
-        }
-    }
-    inFlight_.resize(keep);
+    // 1. Heads that become ready this cycle join their candidate sets.
+    auto &due =
+        wheel_[static_cast<std::size_t>(now_ & (wheel_.size() - 1))];
+    for (const Waiter &w : due)
+        join(w.set, w.pos);
+    due.clear();
 
     // 2. Eject before switching so freshly freed slots are usable next
     //    cycle (not this one), matching a real credit round-trip.
-    for (int r = 0; r < routers_; ++r)
-        serviceEjection(r);
+    const int links = static_cast<int>(links_.size());
+    forEachLive(live_, links, links + routers_,
+                [&](int set) { serviceEjection(set - links); });
 
     // 3. Switch allocation per output link, in id order.
-    for (int lid = 0; lid < static_cast<int>(links_.size()); ++lid)
-        serviceLink(lid);
+    forEachLive(live_, 0, links, [&](int lid) { serviceLink(lid); });
 
     ++now_;
 }

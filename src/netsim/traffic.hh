@@ -71,7 +71,9 @@ class TrafficGenerator
     /**
      * Packets to inject this cycle (destinations resolved); sources
      * with src == dst re-draw (uniform) or drop (deterministic
-     * patterns mapping a node to itself).
+     * patterns mapping a node to itself). Ids run densely from 1 in
+     * the order the packets are handed out, which measureLoadPoint's
+     * round-trip table relies on.
      *
      * Returns a reference to an internal buffer reused across cycles
      * (the per-tick allocation was the hottest churn in the injection

@@ -118,6 +118,18 @@ fatalIf(bool cond, const std::string &msg)
         fatal(msg);
 }
 
+/**
+ * fatalIf() for a literal message: the std::string is built only when
+ * @p cond holds, so a check on a hot path (a network's inject(), the
+ * bus arbiter) costs a branch, not an allocation per call.
+ */
+inline void
+fatalIf(bool cond, const char *msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
 namespace diag
 {
 

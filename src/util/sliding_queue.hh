@@ -1,7 +1,8 @@
 /**
  * @file
  * FIFO queue on one contiguous heap buffer, for the netsim networks'
- * per-node and per-VC queues.
+ * unbounded per-node queues (the bus's request queues and the
+ * routers' NI source queues).
  *
  * Storage is a plain std::vector, so a buffer the queue outgrows goes
  * back to the heap when the vector reallocates: a saturated

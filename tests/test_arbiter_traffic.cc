@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the arbiters and the synthetic traffic generators.
+ * Tests for the bus arbiter and the synthetic traffic generators.
  */
 
 #include <gtest/gtest.h>
@@ -55,29 +55,28 @@ TEST(MatrixArbiter, WinnerDropsToLowestPriority)
     EXPECT_NE(a.arbitrate(req), first);
 }
 
+TEST(MatrixArbiter, BeatsIsTheLeastRecentlyServedOrder)
+{
+    MatrixArbiter a(3);
+    // Lower index first at the start; nobody beats itself.
+    EXPECT_TRUE(a.beats(0, 1));
+    EXPECT_TRUE(a.beats(1, 2));
+    EXPECT_FALSE(a.beats(2, 0));
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(a.beats(i, i));
+    // A winner drops below everyone, the others keep their order.
+    EXPECT_EQ(a.arbitrate({true, true, false}), 0);
+    EXPECT_TRUE(a.beats(1, 0));
+    EXPECT_TRUE(a.beats(2, 0));
+    EXPECT_TRUE(a.beats(1, 2));
+    EXPECT_FALSE(a.beats(0, 0));
+}
+
 TEST(MatrixArbiter, RejectsSizeMismatch)
 {
     MatrixArbiter a(3);
     std::vector<bool> req(4, true);
     EXPECT_THROW(a.arbitrate(req), FatalError);
-}
-
-TEST(RoundRobin, CyclesThroughRequesters)
-{
-    RoundRobinArbiter a(3);
-    std::vector<bool> req{true, true, true};
-    EXPECT_EQ(a.arbitrate(req), 0);
-    EXPECT_EQ(a.arbitrate(req), 1);
-    EXPECT_EQ(a.arbitrate(req), 2);
-    EXPECT_EQ(a.arbitrate(req), 0);
-}
-
-TEST(RoundRobin, SkipsIdle)
-{
-    RoundRobinArbiter a(4);
-    std::vector<bool> req{false, false, false, true};
-    EXPECT_EQ(a.arbitrate(req), 3);
-    EXPECT_EQ(a.arbitrate(req), 3);
 }
 
 TEST(Traffic, TransposeIsAnInvolution)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "delivery_trace.hh"
 #include "netsim/bus_net.hh"
 #include "netsim/load_latency.hh"
 #include "noc/noc_config.hh"
@@ -15,6 +18,7 @@ namespace
 {
 
 using namespace cryo::netsim;
+using namespace cryo::netsim::pinned;
 using cryo::FatalError;
 using cryo::tech::Technology;
 
@@ -243,6 +247,55 @@ TEST(BusNet, RejectsBadPackets)
     EXPECT_THROW(net.inject(makePacket(1, 0, 3, 0)), FatalError);
     EXPECT_THROW(net.inject(makePacket(1, 0, 3, -1)), FatalError);
     EXPECT_EQ(net.inFlight(), 0u);
+}
+
+TEST(BusNet, DeliveryTraceDigestsArePinned)
+{
+    // The exact transaction schedule - request timing, matrix-arbiter
+    // grants, way interleaving, broadcast occupancy - pinned through
+    // measureLoadPoint on CryoBus 1-way and 2-way at 64 nodes, below
+    // and past saturation (1/64 and 2/64 packets/node/cycle). Any
+    // change to the bus's cycle-level behaviour moves a digest.
+    struct Case
+    {
+        const char *name;
+        int ways;
+        TrafficPattern pattern;
+        double rate;
+        std::uint64_t digest;
+    };
+    using enum TrafficPattern;
+    const Case cases[] = {
+        {"1-way uniform low", 1, UniformRandom, 0.008,
+         0x3f91e8fcf427c77cull},
+        {"1-way uniform sat", 1, UniformRandom, 0.03,
+         0x2b711ca71badbd52ull},
+        {"1-way hotspot low", 1, Hotspot, 0.008, 0x1cf40a63086f41d0ull},
+        {"1-way hotspot sat", 1, Hotspot, 0.03, 0xe9b56f9c56d7815full},
+        {"2-way uniform low", 2, UniformRandom, 0.016,
+         0xcae5a09b6e8a0227ull},
+        {"2-way uniform sat", 2, UniformRandom, 0.06,
+         0xe462c64e16eba6c0ull},
+        {"2-way hotspot low", 2, Hotspot, 0.016, 0x92e278fb169d729eull},
+        {"2-way hotspot sat", 2, Hotspot, 0.06, 0x3e19c0e706289134ull},
+    };
+
+    for (const Case &c : cases) {
+        MeasureOpts opts;
+        opts.warmupCycles = 300;
+        opts.measureCycles = 1200;
+        TrafficSpec tr;
+        tr.pattern = c.pattern;
+        tr.injectionRate = c.rate;
+        tr.seed = 7;
+        const BusTiming t = cryoBusTiming(c.ways);
+        const std::uint64_t digest = deliveryTraceDigest(
+            [t]() -> std::unique_ptr<Network> {
+                return std::make_unique<BusNetwork>(64, t);
+            },
+            tr, opts);
+        EXPECT_EQ(digest, c.digest) << c.name << ": " << digestHex(digest);
+    }
 }
 
 TEST(BusNet, FromConfigFoldsControlIntoGrant)

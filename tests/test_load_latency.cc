@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "delivery_trace.hh"
 #include "netsim/bus_net.hh"
 #include "netsim/cell.hh"
 #include "netsim/hybrid_net.hh"
@@ -479,6 +480,43 @@ TEST(Hybrid, SustainsParallelClusterTraffic)
         net.delivered().clear();
     }
     EXPECT_GT(static_cast<double>(delivered) / 1000.0, 3.5);
+}
+
+TEST(Hybrid, DeliveryTraceDigestsArePinned)
+{
+    // Fig. 26's 4 x 64 hybrid (1-way CryoBus clusters), below and past
+    // saturation: the exact schedule of both bus legs, the gateway
+    // queues and the mesh crossings. Any change to the hybrid's or the
+    // bus's cycle-level behaviour moves a digest.
+    static Technology tech = Technology::freePdk45();
+    cryo::noc::NocDesigner designer{tech};
+    HybridConfig hc;
+    hc.busTiming = BusTiming::fromConfig(designer.cryoBus(), 1);
+    struct Case
+    {
+        const char *name;
+        double rate;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {"hybrid low", 0.003, 0xf978cb113b31b462ull},
+        {"hybrid sat", 0.02, 0xdee96028511cdf0full},
+    };
+    for (const Case &c : cases) {
+        MeasureOpts opts;
+        opts.warmupCycles = 300;
+        opts.measureCycles = 1200;
+        TrafficSpec tr;
+        tr.injectionRate = c.rate;
+        tr.seed = 7;
+        const std::uint64_t digest = pinned::deliveryTraceDigest(
+            [hc]() -> std::unique_ptr<Network> {
+                return std::make_unique<HybridNetwork>(hc);
+            },
+            tr, opts);
+        EXPECT_EQ(digest, c.digest)
+            << c.name << ": " << pinned::digestHex(digest);
+    }
 }
 
 TEST(Hybrid, RejectsNonSquareClusterCount)

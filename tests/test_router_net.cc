@@ -5,21 +5,21 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <memory>
 
+#include "delivery_trace.hh"
 #include "netsim/load_latency.hh"
 #include "netsim/router_net.hh"
 #include "noc/noc_config.hh"
 #include "util/diag.hh"
-#include "util/hash.hh"
 #include "util/rng.hh"
 
 namespace
 {
 
 using namespace cryo::netsim;
+using namespace cryo::netsim::pinned;
 using cryo::FatalError;
 using cryo::tech::Technology;
 
@@ -244,62 +244,17 @@ TEST(RouterNet, RejectsBadPackets)
     net.inject(makePacket(7, 3, 9)); // delivered ids are free again
 }
 
-/** What a DigestingNetwork saw, for the test to fold and compare. */
-struct DeliveryTrace
-{
-    cryo::Fnv1a digest; ///< (id, src, dst, injected, delivered) each
-    Cycle now = 0;
-    std::size_t inFlight = 0;
-};
-
-/**
- * A RouterNetwork that folds every delivered packet, in delivery
- * order, into a DeliveryTrace, and keeps its latest now() and
- * inFlight() there.
- */
-class DigestingNetwork : public Network
-{
-  public:
-    DigestingNetwork(const RouterNetConfig &cfg, DeliveryTrace &trace)
-        : net_(cfg), trace_(trace)
-    {
-    }
-
-    void
-    inject(const Packet &p) override
-    {
-        net_.inject(p);
-        trace_.inFlight = net_.inFlight();
-    }
-
-    void
-    step() override
-    {
-        net_.step();
-        for (const Packet &p : net_.drainDelivered()) {
-            trace_.digest.u64(p.id).i64(p.src).i64(p.dst).u64(
-                p.injected).u64(p.delivered);
-            delivered_.push_back(p);
-        }
-        trace_.now = net_.now();
-        trace_.inFlight = net_.inFlight();
-    }
-
-    Cycle now() const override { return net_.now(); }
-    int nodes() const override { return net_.nodes(); }
-    std::size_t inFlight() const override { return net_.inFlight(); }
-
-  private:
-    RouterNetwork net_;
-    DeliveryTrace &trace_;
-};
-
 TEST(RouterNet, DeliveryTraceDigestsArePinned)
 {
     // The exact flit schedule - arbitration order, wormhole locks,
     // credits - pinned through measureLoadPoint's request/response
     // loop, once below and once past saturation per configuration.
     // Any change to the router's cycle-level behaviour moves a digest.
+    // The cases after the first twelve are configurations no figure
+    // uses but the router's storage must survive: 1-flit VC buffers,
+    // a 5-cycle router pipeline, 16-flit responses (also on FB-256 at
+    // 8 VCs, whose 116 input queues per router take two words of
+    // candidate bits), and 16 cores per router.
     static Technology tech = Technology::freePdk45();
     const cryo::noc::NocDesigner d64{tech, 64};
     const cryo::noc::NocDesigner d256{tech, 256};
@@ -315,6 +270,13 @@ TEST(RouterNet, DeliveryTraceDigestsArePinned)
         RouterNetConfig::fromConfig(d256.flattenedButterfly(77.0, 3));
     RouterNetConfig fb256_8vc = fb256;
     fb256_8vc.virtualChannels = 8;
+    RouterNetConfig mesh64_1flit = mesh64;
+    mesh64_1flit.vcBufferFlits = 1;
+    RouterNetConfig cmesh64_5c = cmesh64;
+    cmesh64_5c.routerCycles = 5;
+    RouterNetConfig cmesh256_c16 =
+        RouterNetConfig::fromConfig(d256.cmesh(77.0, 3));
+    cmesh256_c16.concentration = 16;
 
     struct Case
     {
@@ -323,6 +285,7 @@ TEST(RouterNet, DeliveryTraceDigestsArePinned)
         TrafficPattern pattern;
         double rate;
         std::uint64_t digest;
+        int responseFlits = 5;
     };
     using enum TrafficPattern;
     const Case cases[] = {
@@ -350,6 +313,24 @@ TEST(RouterNet, DeliveryTraceDigestsArePinned)
          0xe6374519196068fcull},
         {"fb256-3c-8vc sat", fb256_8vc, BitReverse, 0.3,
          0x519df64610ddabeaull},
+        {"mesh64-1c-1flit low", mesh64_1flit, UniformRandom, 0.01,
+         0x59bf671af511a4e7ull},
+        {"mesh64-1c-1flit sat", mesh64_1flit, Hotspot, 0.15,
+         0xbb55b255ec248ef7ull},
+        {"cmesh64-5c low", cmesh64_5c, Transpose, 0.01,
+         0xb74b7f0fa1707913ull},
+        {"cmesh64-5c sat", cmesh64_5c, UniformRandom, 0.2,
+         0xe26b6e66a2b30313ull},
+        {"fb64-3c-16flit low", fb64, UniformRandom, 0.005,
+         0x0a5d790c3bcce724ull, 16},
+        {"fb64-3c-16flit sat", fb64, BitReverse, 0.1,
+         0xda480337c2e91290ull, 16},
+        {"cmesh256-3c-c16 low", cmesh256_c16, UniformRandom, 0.003,
+         0x5272a39756f764b9ull},
+        {"cmesh256-3c-c16 sat", cmesh256_c16, Burst, 0.05,
+         0x9e942468eb764f59ull},
+        {"fb256-3c-8vc-16flit sat", fb256_8vc, UniformRandom, 0.1,
+         0x87372694c9c7b3e0ull, 16},
     };
 
     for (const Case &c : cases) {
@@ -361,20 +342,15 @@ TEST(RouterNet, DeliveryTraceDigestsArePinned)
         TrafficSpec tr;
         tr.pattern = c.pattern;
         tr.injectionRate = c.rate;
-        tr.responseFlits = 5;
+        tr.responseFlits = c.responseFlits;
         tr.seed = 7;
-        DeliveryTrace trace;
-        measureLoadPoint(
-            [&c, &trace]() -> std::unique_ptr<Network> {
-                return std::make_unique<DigestingNetwork>(c.cfg, trace);
+        const RouterNetConfig cfg = c.cfg;
+        const std::uint64_t digest = deliveryTraceDigest(
+            [cfg]() -> std::unique_ptr<Network> {
+                return std::make_unique<RouterNetwork>(cfg);
             },
             tr, opts);
-        const std::uint64_t digest =
-            trace.digest.u64(trace.now).u64(trace.inFlight).digest();
-        char hex[32];
-        std::snprintf(hex, sizeof hex, "0x%016llx",
-                      static_cast<unsigned long long>(digest));
-        EXPECT_EQ(digest, c.digest) << c.name << ": " << hex;
+        EXPECT_EQ(digest, c.digest) << c.name << ": " << digestHex(digest);
     }
 }
 
@@ -382,6 +358,14 @@ TEST(RouterNet, RejectsUnsupportedTopology)
 {
     RouterNetConfig cfg = meshConfig();
     cfg.kind = cryo::noc::TopologyKind::SharedBus;
+    EXPECT_THROW(RouterNetwork{cfg}, FatalError);
+}
+
+TEST(RouterNet, RejectsMoreVcsThanAFlitCanName)
+{
+    // A flit stores its VC in 16 bits.
+    RouterNetConfig cfg = meshConfig();
+    cfg.virtualChannels = 65536;
     EXPECT_THROW(RouterNetwork{cfg}, FatalError);
 }
 
