@@ -1,10 +1,12 @@
 /**
  * @file
- * Microbenchmarks of the analytic model kernels, scalar vs batched:
- * drive delay factors, distributed-RC wire delay, the repeater
- * search, the critical-path voltage sweep, and conductor resistivity,
- * plus a full interval-simulation run for scale.  Emits the
- * cryowire-bench/1 JSON consumed by tools/bench_gate.py.
+ * Microbenchmarks of the analytic model kernels: drive delay factors,
+ * distributed-RC wire delay, the repeater search, the critical-path
+ * voltage sweep, and conductor resistivity, plus a full
+ * interval-simulation run for scale.  Kernels with a batch entry
+ * point (delay factors, the critical path, the interval suite) are
+ * timed both ways.  Emits the cryowire-bench/1 JSON consumed by
+ * tools/bench_gate.py.
  */
 
 #include <vector>
@@ -67,7 +69,7 @@ main(int argc, char **argv)
             keep(out);
         });
         const double batch = h.time(vs.size(), [&] {
-            mosfet.delayFactorBatch({&temp, 1}, vs, out);
+            mosfet.delayFactorBatch(temp, vs, out);
             keep(out);
         });
         h.record("mosfet_delay_factor", vs.size(), scalar, batch);
@@ -86,11 +88,7 @@ main(int argc, char **argv)
                 out[i] = rc.delay(lengths[i], temp, v);
             keep(out);
         });
-        const double batch = h.time(lengths.size(), [&] {
-            rc.delayBatch(lengths, temp, v, out);
-            keep(out);
-        });
-        h.record("wire_rc_delay", lengths.size(), scalar, batch);
+        h.record("wire_rc_delay", lengths.size(), scalar);
     }
 
     {
@@ -106,11 +104,7 @@ main(int argc, char **argv)
                 out[i] = rep.optimize(lengths[i], temp, v);
             keep(out);
         });
-        const double batch = h.time(lengths.size(), [&] {
-            rep.optimizeBatch(lengths, temp, v, out);
-            keep(out);
-        });
-        h.record("repeater_optimize", lengths.size(), scalar, batch);
+        h.record("repeater_optimize", lengths.size(), scalar);
     }
 
     {
@@ -144,11 +138,7 @@ main(int argc, char **argv)
                 out[i] = cu.resistivity(temps[i]);
             keep(out);
         });
-        const double batch = h.time(temps.size(), [&] {
-            cu.resistivityBatch(temps, out);
-            keep(out);
-        });
-        h.record("conductor_resistivity", temps.size(), scalar, batch);
+        h.record("conductor_resistivity", temps.size(), scalar);
     }
 
     {

@@ -128,7 +128,7 @@ CriticalPathModel::maxDelayBatch(const StageList &stages, Kelvin temp,
     // One drive-factor sweep serves every stage: the factor depends
     // only on (T, V), not on the stage.
     std::vector<double> df(vs.size());
-    tech_.mosfet().delayFactorBatch({&temp, 1}, vs, df);
+    tech_.mosfet().delayFactorBatch(temp, vs, df);
 
     std::fill(out.begin(), out.end(), 0.0);
     std::vector<Second> wire(vs.size());

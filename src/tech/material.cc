@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 
 #include "util/diag.hh"
 #include "util/validate.hh"
@@ -180,29 +179,6 @@ Conductor::resistivity(Kelvin temp) const
 {
     checkedModelTemp(temp.value(), "conductor resistivity");
     return rhoResidual_ + rhoPhonon300_ * bg_.phononFactor(temp);
-}
-
-void
-Conductor::resistivityBatch(std::span<const Kelvin> temps,
-                            std::span<OhmMetre> out) const
-{
-    fatalIf(temps.size() != out.size(),
-            "resistivityBatch: temps/out size mismatch");
-    // Sweeps commonly hold temperature over long runs (one T, many
-    // voltage/length points); reuse the phonon factor across equal
-    // consecutive temperatures.  Results are bit-identical to the
-    // scalar path either way.
-    double last_t = std::numeric_limits<double>::quiet_NaN();
-    double factor = 0.0;
-    for (std::size_t i = 0; i < temps.size(); ++i) {
-        const double t =
-            checkedModelTemp(temps[i].value(), "conductor resistivity");
-        if (t != last_t) {
-            factor = bg_.phononFactor(temps[i]);
-            last_t = t;
-        }
-        out[i] = rhoResidual_ + rhoPhonon300_ * factor;
-    }
 }
 
 double

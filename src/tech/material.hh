@@ -19,8 +19,6 @@
 #ifndef CRYOWIRE_TECH_MATERIAL_HH
 #define CRYOWIRE_TECH_MATERIAL_HH
 
-#include <span>
-
 #include "util/units.hh"
 
 namespace cryo::tech
@@ -84,14 +82,6 @@ class Conductor
 
     /** Total resistivity at @p temp. */
     units::OhmMetre resistivity(units::Kelvin temp) const;
-
-    /**
-     * Batched resistivity: out[i] = resistivity(temps[i]) bit-for-bit,
-     * with the phonon factor reused across runs of equal consecutive
-     * temperatures (the shape dense sweeps produce).
-     */
-    void resistivityBatch(std::span<const units::Kelvin> temps,
-                          std::span<units::OhmMetre> out) const;
 
     /** rho(T) / rho(300 K): < 1 below room temperature. */
     double resistivityRatio(units::Kelvin temp) const;

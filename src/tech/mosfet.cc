@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "util/diag.hh"
@@ -112,11 +111,17 @@ Mosfet::voltageSpeed(Kelvin temp, const VoltagePoint &v) const
 }
 
 double
+Mosfet::delayFactor(Kelvin temp, const VoltagePoint &v, double nominal_speed,
+                    double gain) const
+{
+    return nominal_speed / (voltageSpeed(temp, v) * gain);
+}
+
+double
 Mosfet::delayFactor(Kelvin temp, const VoltagePoint &v) const
 {
     const double nominal_speed = voltageSpeed(temp, params_.nominal);
-    const double speed = voltageSpeed(temp, v) * driveGain(temp);
-    return nominal_speed / speed;
+    return delayFactor(temp, v, nominal_speed, driveGain(temp));
 }
 
 double
@@ -126,29 +131,14 @@ Mosfet::delayFactor(Kelvin temp) const
 }
 
 void
-Mosfet::delayFactorBatch(std::span<const Kelvin> temps,
-                         std::span<const VoltagePoint> vs,
+Mosfet::delayFactorBatch(Kelvin temp, std::span<const VoltagePoint> vs,
                          std::span<double> out) const
 {
     fatalIf(vs.size() != out.size(), "delayFactorBatch: vs/out size mismatch");
-    fatalIf(temps.size() != vs.size() && temps.size() != 1,
-            "delayFactorBatch: temps must match vs or broadcast (size 1)");
-    if (vs.empty())
-        return;
-    // alpha() is temperature-independent, so the nominal-voltage speed
-    // term - one of the scalar call's two pow() evaluations - is a
-    // single hoisted value for the whole batch.
-    const double nominal_speed = voltageSpeed(temps[0], params_.nominal);
-    double last_t = std::numeric_limits<double>::quiet_NaN();
-    double gain = 1.0;
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-        const Kelvin t = temps[temps.size() == 1 ? 0 : i];
-        if (t.value() != last_t) {
-            gain = driveGain(t);
-            last_t = t.value();
-        }
-        out[i] = nominal_speed / (voltageSpeed(t, vs[i]) * gain);
-    }
+    const double nominal_speed = voltageSpeed(temp, params_.nominal);
+    const double gain = driveGain(temp);
+    for (std::size_t i = 0; i < vs.size(); ++i)
+        out[i] = delayFactor(temp, vs[i], nominal_speed, gain);
 }
 
 Volt

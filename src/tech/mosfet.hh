@@ -136,16 +136,13 @@ class Mosfet
     double delayFactor(units::Kelvin temp) const;
 
     /**
-     * Batched delayFactor over struct-of-arrays inputs: out[i] =
-     * delayFactor(temps[i], vs[i]) bit-for-bit.  @p temps may hold a
-     * single element, broadcast across all of @p vs - the DSE sweep
-     * shape (one temperature, a grid of voltage points).  The batch
-     * entry hoists what the scalar call re-derives per point: the
-     * nominal-voltage alpha-power term (one pow instead of two) and,
-     * across runs of equal consecutive temperature, the drive-gain
-     * interpolation.
+     * Batched delayFactor over a voltage grid at one temperature (the
+     * voltage optimizer's shape): out[i] = delayFactor(temp, vs[i])
+     * bit-for-bit.  The nominal-voltage alpha-power term (one of the
+     * scalar call's two pow()) and the drive-gain interpolation are
+     * computed once for the whole grid.
      */
-    void delayFactorBatch(std::span<const units::Kelvin> temps,
+    void delayFactorBatch(units::Kelvin temp,
                           std::span<const VoltagePoint> vs,
                           std::span<double> out) const;
 
@@ -182,6 +179,13 @@ class Mosfet
   private:
     /** Alpha-power speed term (Vdd - Vth_eff)^alpha / Vdd, higher=faster. */
     double voltageSpeed(units::Kelvin temp, const VoltagePoint &v) const;
+
+    /**
+     * delayFactor(temp, v) given its two temperature-only terms: the
+     * nominal point's voltageSpeed and driveGain(temp).
+     */
+    double delayFactor(units::Kelvin temp, const VoltagePoint &v,
+                       double nominal_speed, double gain) const;
 
     MosfetParams params_;
 };

@@ -17,114 +17,73 @@ using units::Ohm;
 using units::OhmPerMetre;
 using units::Second;
 
+namespace
+{
+
+/** One size-h repeater at a fixed (T, V) and the wire it drives. */
+struct Stage
+{
+    Ohm rd;          ///< repeater output resistance
+    Farad cg;        ///< repeater gate capacitance (the previous stage's load)
+    Farad cp;        ///< repeater parasitic capacitance
+    OhmPerMetre r;   ///< wire resistance per metre
+    FaradPerMetre c; ///< wire capacitance per metre
+
+    /** Delay of a @p length wire cut into @p k such stages. */
+    Second
+    delay(Metre length, int k) const
+    {
+        const Metre l = length / k;
+        const Farad cw = c * l;
+        const Ohm rw = r * l;
+        const Second t_seg =
+            0.69 * rd * (cw + cg + cp) + 0.38 * rw * cw + 0.69 * rw * cg;
+        return k * t_seg;
+    }
+};
+
+} // namespace
+
 RepeateredWire::RepeateredWire(const WireSpec &spec, const Mosfet &mosfet)
     : spec_(spec), mosfet_(mosfet)
 {
-}
-
-double
-RepeateredWire::optimalSize(Metre seg_len, Kelvin temp,
-                            const VoltagePoint &v) const
-{
-    // d(t_seg)/dh = 0 => h = sqrt(R0 c l / (r l C0)) = sqrt(R0 c / (r C0)).
-    const Ohm r0 = mosfet_.driverResistance(temp, v, 1.0);
-    const Farad c0 = mosfet_.gateCap(1.0);
-    const OhmPerMetre r = spec_.resistancePerM(temp);
-    const FaradPerMetre c = spec_.capPerM();
-    (void)seg_len; // h is independent of l in the Elmore form
-    return std::max(1.0, std::sqrt(r0 * c / (r * c0)));
-}
-
-Second
-RepeateredWire::designDelay(Metre length, int k, double h, Kelvin temp,
-                            const VoltagePoint &v) const
-{
-    const Metre l = length / k;
-    const Ohm rd = mosfet_.driverResistance(temp, v, h);
-    const Farad cw = spec_.capPerM() * l;
-    const Ohm rw = spec_.resistancePerM(temp) * l;
-    const Farad cg = mosfet_.gateCap(h);
-    const Farad cp = mosfet_.parasiticCap(h);
-    const Second t_seg = 0.69 * rd * (cw + cg + cp)
-        + 0.38 * rw * cw + 0.69 * rw * cg;
-    return k * t_seg;
 }
 
 RepeaterDesign
 RepeateredWire::optimize(Metre length, Kelvin temp, const VoltagePoint &v,
                          int max_segments) const
 {
-    fatalIf(length.value() <= 0.0, "wire length must be positive");
+    fatalIf(!(std::isfinite(length.value()) && length.value() > 0.0),
+            "wire length must be positive and finite");
     fatalIf(max_segments < 1, "need at least one segment");
 
-    RepeaterDesign best{
-        1, 1.0, Second{std::numeric_limits<double>::infinity()}, length};
-    // The continuous-k optimum gives the neighbourhood to scan.
     const Ohm r0 = mosfet_.driverResistance(temp, v, 1.0);
     const Farad c0 = mosfet_.gateCap(1.0) + mosfet_.parasiticCap(1.0);
     const OhmPerMetre r = spec_.resistancePerM(temp);
     const FaradPerMetre c = spec_.capPerM();
+    // d(t_seg)/dh = 0 => h = sqrt(R0 c l / (r l C0)) = sqrt(R0 c / (r C0)):
+    // the size, and so the whole stage, is the same for every k.
+    const double h =
+        std::max(1.0, std::sqrt(r0 * c / (r * mosfet_.gateCap(1.0))));
+    const Stage stage{mosfet_.driverResistance(temp, v, h),
+                      mosfet_.gateCap(h), mosfet_.parasiticCap(h), r, c};
+
+    // The continuous-k optimum gives the neighbourhood to scan; the
+    // bound is clamped in double so the cast to int is always defined.
     const double k_cont =
         length.value() * std::sqrt(0.38 * (r * c).value()
                                    / (0.69 * (r0 * c0).value()));
-    const int k_hi = std::min<int>(
-        max_segments, std::max(2, static_cast<int>(std::ceil(k_cont)) + 2));
+    const int k_hi = static_cast<int>(std::min<double>(
+        max_segments, std::max(2.0, std::ceil(k_cont) + 2.0)));
 
+    RepeaterDesign best{
+        1, 1.0, Second{std::numeric_limits<double>::infinity()}, length};
     for (int k = 1; k <= k_hi; ++k) {
-        const double h = optimalSize(length / k, temp, v);
-        const Second d = designDelay(length, k, h, temp, v);
+        const Second d = stage.delay(length, k);
         if (d < best.delay)
             best = {k, h, d, length / k};
     }
     return best;
-}
-
-void
-RepeateredWire::optimizeBatch(std::span<const Metre> lengths, Kelvin temp,
-                              const VoltagePoint &v,
-                              std::span<RepeaterDesign> out,
-                              int max_segments) const
-{
-    fatalIf(lengths.size() != out.size(),
-            "optimizeBatch: lengths/out size mismatch");
-    fatalIf(max_segments < 1, "need at least one segment");
-
-    // (T, V)-only invariants, hoisted out of the k and length loops.
-    // h is independent of the segment length in the Elmore form, so
-    // one closed-form evaluation covers every (length, k).
-    const Ohm r0 = mosfet_.driverResistance(temp, v, 1.0);
-    const Farad c0gate = mosfet_.gateCap(1.0);
-    const Farad c0 = mosfet_.gateCap(1.0) + mosfet_.parasiticCap(1.0);
-    const OhmPerMetre r = spec_.resistancePerM(temp);
-    const FaradPerMetre c = spec_.capPerM();
-    const double h = std::max(1.0, std::sqrt(r0 * c / (r * c0gate)));
-    const Ohm rd = mosfet_.driverResistance(temp, v, h);
-    const Farad cg = mosfet_.gateCap(h);
-    const Farad cp = mosfet_.parasiticCap(h);
-    const double k_slope = std::sqrt(0.38 * (r * c).value()
-                                     / (0.69 * (r0 * c0).value()));
-
-    for (std::size_t i = 0; i < lengths.size(); ++i) {
-        const Metre length = lengths[i];
-        fatalIf(length.value() <= 0.0, "wire length must be positive");
-        RepeaterDesign best{
-            1, 1.0, Second{std::numeric_limits<double>::infinity()}, length};
-        const double k_cont = length.value() * k_slope;
-        const int k_hi = std::min<int>(
-            max_segments,
-            std::max(2, static_cast<int>(std::ceil(k_cont)) + 2));
-        for (int k = 1; k <= k_hi; ++k) {
-            const Metre l = length / k;
-            const Farad cw = c * l;
-            const Ohm rw = r * l;
-            const Second t_seg = 0.69 * rd * (cw + cg + cp)
-                + 0.38 * rw * cw + 0.69 * rw * cg;
-            const Second d = k * t_seg;
-            if (d < best.delay)
-                best = {k, h, d, length / k};
-        }
-        out[i] = best;
-    }
 }
 
 RepeaterDesign
@@ -150,8 +109,11 @@ RepeateredWire::delayWithFrozenLayout(Metre length, Kelvin design_temp,
                                       Kelvin temp) const
 {
     const RepeaterDesign d = optimize(length, design_temp);
-    return designDelay(length, d.segments, d.size, temp,
-                       mosfet_.params().nominal);
+    const VoltagePoint &v = mosfet_.params().nominal;
+    const Stage stage{mosfet_.driverResistance(temp, v, d.size),
+                      mosfet_.gateCap(d.size), mosfet_.parasiticCap(d.size),
+                      spec_.resistancePerM(temp), spec_.capPerM()};
+    return stage.delay(length, d.segments);
 }
 
 } // namespace cryo::tech

@@ -19,8 +19,6 @@
 #ifndef CRYOWIRE_TECH_REPEATER_HH
 #define CRYOWIRE_TECH_REPEATER_HH
 
-#include <span>
-
 #include "tech/mosfet.hh"
 #include "tech/wire_geometry.hh"
 #include "util/units.hh"
@@ -46,7 +44,10 @@ class RepeateredWire
     RepeateredWire(const WireSpec &spec, const Mosfet &mosfet);
 
     /**
-     * Latency-optimal design for a @p length wire at (T, V).
+     * Latency-optimal design for a @p length wire at (T, V).  The
+     * optimal size h does not depend on k, so everything but the
+     * segment count is computed once, outside the scan over k.
+     * @param length       finite and positive, else cryo::FatalError
      * @param max_segments cap on k (arbitration of area; >= 1).
      */
     RepeaterDesign optimize(units::Metre length, units::Kelvin temp,
@@ -55,20 +56,6 @@ class RepeateredWire
 
     /** Optimal design at the nominal voltage. */
     RepeaterDesign optimize(units::Metre length, units::Kelvin temp) const;
-
-    /**
-     * Batched optimize over many lengths at one (T, V): out[i] =
-     * optimize(lengths[i], temp, v, max_segments) bit-for-bit.  The
-     * scalar search re-derives the (T, V)-only invariants - driver
-     * resistance (two pow()), unit caps, per-metre wire R/C, and the
-     * closed-form optimal size h - at every candidate segment count k;
-     * the batch entry hoists all of them out of both the k loop and
-     * the length loop.
-     */
-    void optimizeBatch(std::span<const units::Metre> lengths,
-                       units::Kelvin temp, const VoltagePoint &v,
-                       std::span<RepeaterDesign> out,
-                       int max_segments = 256) const;
 
     /** Optimal end-to-end delay. */
     units::Second delay(units::Metre length, units::Kelvin temp) const;
@@ -86,15 +73,6 @@ class RepeateredWire
                                         units::Kelvin temp) const;
 
   private:
-    /** Delay of a specific (k, h) design. */
-    units::Second designDelay(units::Metre length, int k, double h,
-                              units::Kelvin temp,
-                              const VoltagePoint &v) const;
-
-    /** Closed-form optimal h for a given segment length. */
-    double optimalSize(units::Metre seg_len, units::Kelvin temp,
-                       const VoltagePoint &v) const;
-
     const WireSpec &spec_;
     const Mosfet &mosfet_;
 };

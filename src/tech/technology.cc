@@ -191,14 +191,6 @@ Technology::repeateredWireSpeedup(WireLayer layer, Metre length,
 }
 
 Second
-Technology::wireDelay(WireLayer layer, Metre length, Kelvin temp,
-                      double driver_size, double load_size) const
-{
-    WireRC rc{wire(layer), mosfet_, driver_size, load_size};
-    return rc.delay(length, temp);
-}
-
-Second
 Technology::repeateredWireDelay(WireLayer layer, Metre length,
                                 Kelvin temp) const
 {

@@ -79,11 +79,6 @@ class Technology
     double repeateredWireSpeedup(WireLayer layer, units::Metre length,
                                  units::Kelvin temp) const;
 
-    /** Delay of an unrepeated wire. */
-    units::Second wireDelay(WireLayer layer, units::Metre length,
-                            units::Kelvin temp, double driver_size = 64.0,
-                            double load_size = 16.0) const;
-
     /** Delay of a repeatered wire. */
     units::Second repeateredWireDelay(WireLayer layer, units::Metre length,
                                       units::Kelvin temp) const;

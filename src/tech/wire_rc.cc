@@ -1,16 +1,15 @@
 #include "wire_rc.hh"
 
+#include <cmath>
+
 #include "util/diag.hh"
 
 namespace cryo::tech
 {
 
-using units::Farad;
-using units::FaradPerMetre;
 using units::Kelvin;
 using units::Metre;
 using units::Ohm;
-using units::OhmPerMetre;
 using units::Second;
 
 WireRC::WireRC(const WireSpec &spec, const Mosfet &mosfet,
@@ -18,48 +17,38 @@ WireRC::WireRC(const WireSpec &spec, const Mosfet &mosfet,
     : spec_(spec), mosfet_(mosfet), driverSize_(driver_size),
       loadSize_(load_size)
 {
-    fatalIf(driver_size <= 0.0, "driver size must be positive");
-    fatalIf(load_size <= 0.0, "load size must be positive");
+    fatalIf(!(std::isfinite(driver_size) && driver_size > 0.0),
+            "driver size must be positive and finite");
+    fatalIf(!(std::isfinite(load_size) && load_size > 0.0),
+            "load size must be positive and finite");
+}
+
+Second
+WireRC::Load::delay(Ohm rd) const
+{
+    return 0.69 * rd * (cw + cl + cp) + 0.38 * rw * cw + 0.69 * rw * cl;
+}
+
+WireRC::Load
+WireRC::load(Metre length, Kelvin temp) const
+{
+    fatalIf(!(std::isfinite(length.value()) && length.value() >= 0.0),
+            "wire length must be non-negative and finite");
+    return {spec_.capPerM() * length, spec_.resistancePerM(temp) * length,
+            mosfet_.gateCap(loadSize_), mosfet_.parasiticCap(driverSize_)};
 }
 
 Second
 WireRC::delay(Metre length, Kelvin temp, const VoltagePoint &v) const
 {
-    fatalIf(length.value() < 0.0, "wire length must be non-negative");
-    const Ohm rd = mosfet_.driverResistance(temp, v, driverSize_);
-    const Farad cw = spec_.capPerM() * length;
-    const Ohm rw = spec_.resistancePerM(temp) * length;
-    const Farad cl = mosfet_.gateCap(loadSize_);
-    const Farad cp = mosfet_.parasiticCap(driverSize_);
-    return 0.69 * rd * (cw + cl + cp) + 0.38 * rw * cw + 0.69 * rw * cl;
+    return load(length, temp).delay(
+        mosfet_.driverResistance(temp, v, driverSize_));
 }
 
 Second
 WireRC::delay(Metre length, Kelvin temp) const
 {
     return delay(length, temp, mosfet_.params().nominal);
-}
-
-void
-WireRC::delayBatch(std::span<const Metre> lengths, Kelvin temp,
-                   const VoltagePoint &v, std::span<Second> out) const
-{
-    fatalIf(lengths.size() != out.size(),
-            "delayBatch: lengths/out size mismatch");
-    // All (T, V)-only terms hoisted once for the batch; the per-length
-    // body below is token-for-token the scalar delay() expression.
-    const Ohm rd = mosfet_.driverResistance(temp, v, driverSize_);
-    const FaradPerMetre cpm = spec_.capPerM();
-    const OhmPerMetre rpm = spec_.resistancePerM(temp);
-    const Farad cl = mosfet_.gateCap(loadSize_);
-    const Farad cp = mosfet_.parasiticCap(driverSize_);
-    for (std::size_t i = 0; i < lengths.size(); ++i) {
-        fatalIf(lengths[i].value() < 0.0, "wire length must be non-negative");
-        const Farad cw = cpm * lengths[i];
-        const Ohm rw = rpm * lengths[i];
-        out[i] =
-            0.69 * rd * (cw + cl + cp) + 0.38 * rw * cw + 0.69 * rw * cl;
-    }
 }
 
 void
@@ -71,18 +60,12 @@ WireRC::delayBatchV(Metre length, Kelvin temp,
     fatalIf(vs.size() != out.size(), "delayBatchV: vs/out size mismatch");
     fatalIf(delay_factors.size() != vs.size(),
             "delayBatchV: delay_factors/vs size mismatch");
-    fatalIf(length.value() < 0.0, "wire length must be non-negative");
-    const Farad cw = spec_.capPerM() * length;
-    const Ohm rw = spec_.resistancePerM(temp) * length;
-    const Farad cl = mosfet_.gateCap(loadSize_);
-    const Farad cp = mosfet_.parasiticCap(driverSize_);
+    const Load driven = load(length, temp);
     const Ohm unit_r = mosfet_.params().unitResistance300;
     for (std::size_t i = 0; i < vs.size(); ++i) {
         // Same expression as Mosfet::driverResistance with the factor
-        // already in hand, then the scalar delay() Elmore sum.
-        const Ohm rd = unit_r * delay_factors[i] / driverSize_;
-        out[i] =
-            0.69 * rd * (cw + cl + cp) + 0.38 * rw * cw + 0.69 * rw * cl;
+        // already in hand.
+        out[i] = driven.delay(unit_r * delay_factors[i] / driverSize_);
     }
 }
 

@@ -39,23 +39,15 @@ class WireRC
     WireRC(const WireSpec &spec, const Mosfet &mosfet,
            double driver_size = 64.0, double load_size = 16.0);
 
-    /** End-to-end delay of a @p length wire at (T, V). */
+    /**
+     * End-to-end delay of a @p length wire at (T, V); @p length must
+     * be finite and non-negative, else cryo::FatalError.
+     */
     units::Second delay(units::Metre length, units::Kelvin temp,
                         const VoltagePoint &v) const;
 
     /** Delay at the nominal voltage point. */
     units::Second delay(units::Metre length, units::Kelvin temp) const;
-
-    /**
-     * Batched delay over many lengths at one (T, V): out[i] =
-     * delay(lengths[i], temp, v) bit-for-bit.  Hoists the per-call
-     * invariants - driver resistance (two pow() in the scalar path),
-     * per-metre wire R/C, and the load/parasitic caps - out of the
-     * per-length loop.
-     */
-    void delayBatch(std::span<const units::Metre> lengths,
-                    units::Kelvin temp, const VoltagePoint &v,
-                    std::span<units::Second> out) const;
 
     /**
      * Batched delay over voltage points at one (L, T): out[i] =
@@ -83,6 +75,21 @@ class WireRC
     double driverSize() const { return driverSize_; }
 
   private:
+    /** Everything in the Elmore sum but the driver: the (L, T) terms. */
+    struct Load
+    {
+        units::Farad cw; ///< wire capacitance
+        units::Ohm rw;   ///< wire resistance
+        units::Farad cl; ///< receiving gate capacitance
+        units::Farad cp; ///< driver parasitic capacitance
+
+        /** The Elmore sum through a driver of resistance @p rd. */
+        units::Second delay(units::Ohm rd) const;
+    };
+
+    /** The Load of a @p length wire at @p temp. */
+    Load load(units::Metre length, units::Kelvin temp) const;
+
     const WireSpec &spec_;
     const Mosfet &mosfet_;
     double driverSize_;

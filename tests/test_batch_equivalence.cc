@@ -2,11 +2,11 @@
  * @file
  * Bitwise scalar/batch equivalence of every batched kernel.
  *
- * The batch entry points are documented as pure invariant hoists: the
- * per-element arithmetic is token-for-token the scalar expression, so
- * the results must match EXACTLY (EXPECT_EQ on the raw doubles, no
- * tolerance).  Any divergence means a batch kernel reordered or
- * refactored floating-point math and silently forked the model.
+ * The batch entry points are pure invariant hoists: each shares its
+ * per-element formula with the scalar call, so the results must match
+ * EXACTLY (EXPECT_EQ on the raw doubles, no tolerance).  Any
+ * divergence means a batch kernel reordered or refactored
+ * floating-point math and silently forked the model.
  *
  * Inputs are randomized with the repo's deterministic Rng so failures
  * reproduce byte-for-byte.
@@ -22,8 +22,6 @@
 #include "pipeline/stage_library.hh"
 #include "sys/interval_sim.hh"
 #include "sys/workload.hh"
-#include "tech/material.hh"
-#include "tech/repeater.hh"
 #include "tech/technology.hh"
 #include "tech/wire_rc.hh"
 #include "util/rng.hh"
@@ -35,7 +33,6 @@ namespace
 using namespace cryo;
 using units::Kelvin;
 using units::Metre;
-using units::OhmMetre;
 using units::Second;
 
 const tech::Technology &
@@ -44,6 +41,14 @@ technology()
     static tech::Technology t = tech::Technology::freePdk45();
     return t;
 }
+
+/**
+ * The temperatures the batched kernels run at: ablation-voltage's
+ * 77-300 K, plus the model window's ends, where driveGain clamps.
+ */
+const Kelvin kTemps[] = {Kelvin{4.0},   Kelvin{77.0},  Kelvin{100.0},
+                         Kelvin{150.0}, Kelvin{200.0}, Kelvin{300.0},
+                         Kelvin{400.0}};
 
 /** Margin-safe random voltage point (vdd comfortably above vth). */
 tech::VoltagePoint
@@ -59,57 +64,16 @@ TEST(BatchEquivalence, DelayFactorBroadcastTemperature)
 {
     Rng rng{0xb17e5u};
     const auto &mosfet = technology().mosfet();
-    const Kelvin temp = constants::ln2Temp;
     std::vector<tech::VoltagePoint> vs(257);
     for (auto &v : vs)
         v = randomVoltage(rng);
     std::vector<double> out(vs.size());
-    mosfet.delayFactorBatch({&temp, 1}, vs, out);
-    for (std::size_t i = 0; i < vs.size(); ++i)
-        EXPECT_EQ(out[i], mosfet.delayFactor(temp, vs[i])) << i;
-}
-
-TEST(BatchEquivalence, DelayFactorPerElementTemperatures)
-{
-    Rng rng{0xb17e6u};
-    const auto &mosfet = technology().mosfet();
-    std::vector<Kelvin> temps;
-    std::vector<tech::VoltagePoint> vs;
-    for (int i = 0; i < 200; ++i) {
-        // Runs of equal temperature exercise the drive-gain reuse.
-        const Kelvin t{4.0 + 296.0 * rng.uniform()};
-        const int run = 1 + static_cast<int>(rng.below(4));
-        for (int r = 0; r < run; ++r) {
-            temps.push_back(t);
-            vs.push_back(randomVoltage(rng));
+    for (const Kelvin temp : kTemps) {
+        mosfet.delayFactorBatch(temp, vs, out);
+        for (std::size_t i = 0; i < vs.size(); ++i) {
+            EXPECT_EQ(out[i], mosfet.delayFactor(temp, vs[i]))
+                << temp.value() << " K, " << i;
         }
-    }
-    std::vector<double> out(vs.size());
-    mosfet.delayFactorBatch(temps, vs, out);
-    // voltageSpeed() is temperature-independent (alpha is calibrated
-    // flat), so the batch's hoisted nominal-speed anchor matches the
-    // scalar's per-call one bitwise at every temperature.
-    for (std::size_t i = 0; i < vs.size(); ++i)
-        EXPECT_EQ(out[i], mosfet.delayFactor(temps[i], vs[i])) << i;
-}
-
-TEST(BatchEquivalence, WireDelayOverLengths)
-{
-    Rng rng{0x3a1du};
-    const auto &mosfet = technology().mosfet();
-    tech::WireRC rc{technology().wire(tech::WireLayer::SemiGlobal),
-                    mosfet, 48.0, 12.0};
-    const Kelvin temp{77.0};
-    const tech::VoltagePoint v{0.9, 0.25};
-    std::vector<Metre> lengths(301);
-    for (auto &l : lengths)
-        l = Metre{1e-5 + 5e-3 * rng.uniform()};
-    std::vector<Second> out(lengths.size());
-    rc.delayBatch(lengths, temp, v, out);
-    for (std::size_t i = 0; i < lengths.size(); ++i) {
-        EXPECT_EQ(out[i].value(),
-                  rc.delay(lengths[i], temp, v).value())
-            << i;
     }
 }
 
@@ -118,62 +82,21 @@ TEST(BatchEquivalence, WireDelayOverVoltages)
     Rng rng{0x77abcu};
     const auto &mosfet = technology().mosfet();
     tech::WireRC rc{technology().wire(tech::WireLayer::Local), mosfet};
-    const Kelvin temp{77.0};
     const Metre length{300e-6};
     std::vector<tech::VoltagePoint> vs(129);
     for (auto &v : vs)
         v = randomVoltage(rng);
     std::vector<double> dfs(vs.size());
-    mosfet.delayFactorBatch({&temp, 1}, vs, dfs);
     std::vector<Second> out(vs.size());
-    rc.delayBatchV(length, temp, vs, dfs, out);
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-        EXPECT_EQ(out[i].value(),
-                  rc.delay(length, temp, vs[i]).value())
-            << i;
+    for (const Kelvin temp : kTemps) {
+        mosfet.delayFactorBatch(temp, vs, dfs);
+        rc.delayBatchV(length, temp, vs, dfs, out);
+        for (std::size_t i = 0; i < vs.size(); ++i) {
+            EXPECT_EQ(out[i].value(),
+                      rc.delay(length, temp, vs[i]).value())
+                << temp.value() << " K, " << i;
+        }
     }
-}
-
-TEST(BatchEquivalence, RepeaterOptimizeOverLengths)
-{
-    Rng rng{0x4e9u};
-    const auto &mosfet = technology().mosfet();
-    tech::RepeateredWire rep{technology().wire(tech::WireLayer::Global),
-                             mosfet};
-    const Kelvin temp = constants::ln2Temp;
-    const tech::VoltagePoint v = mosfet.params().nominal;
-    std::vector<Metre> lengths(97);
-    for (auto &l : lengths)
-        l = Metre{5e-4 + 2e-2 * rng.uniform()};
-    std::vector<tech::RepeaterDesign> out(lengths.size());
-    rep.optimizeBatch(lengths, temp, v, out);
-    for (std::size_t i = 0; i < lengths.size(); ++i) {
-        const auto scalar = rep.optimize(lengths[i], temp, v);
-        EXPECT_EQ(out[i].segments, scalar.segments) << i;
-        EXPECT_EQ(out[i].size, scalar.size) << i;
-        EXPECT_EQ(out[i].delay.value(), scalar.delay.value()) << i;
-        EXPECT_EQ(out[i].segmentLen.value(), scalar.segmentLen.value())
-            << i;
-    }
-}
-
-TEST(BatchEquivalence, ConductorResistivityOverTemperatures)
-{
-    Rng rng{0xc0ffeeu};
-    tech::Conductor cu(OhmMetre{2.8e-8}, OhmMetre{0.759e-8},
-                       Kelvin{343.0});
-    std::vector<Kelvin> temps;
-    for (int i = 0; i < 150; ++i) {
-        const Kelvin t{4.0 + 396.0 * rng.uniform()};
-        const int run = 1 + static_cast<int>(rng.below(3));
-        for (int r = 0; r < run; ++r)
-            temps.push_back(t); // equal runs exercise factor reuse
-    }
-    std::vector<OhmMetre> out(temps.size());
-    cu.resistivityBatch(temps, out);
-    for (std::size_t i = 0; i < temps.size(); ++i)
-        EXPECT_EQ(out[i].value(), cu.resistivity(temps[i]).value())
-            << i;
 }
 
 TEST(BatchEquivalence, CriticalPathMaxDelayAndFrequency)
@@ -182,19 +105,21 @@ TEST(BatchEquivalence, CriticalPathMaxDelayAndFrequency)
     pipeline::CriticalPathModel model{technology(),
                                      pipeline::Floorplan::skylakeLike()};
     const auto stages = pipeline::boomSkylakeStages();
-    const Kelvin temp = constants::ln2Temp;
     std::vector<tech::VoltagePoint> vs(83);
     for (auto &v : vs)
         v = randomVoltage(rng);
     std::vector<double> md(vs.size());
     std::vector<units::Hertz> fr(vs.size());
-    model.maxDelayBatch(stages, temp, vs, md);
-    model.frequencyBatch(stages, temp, vs, fr);
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-        EXPECT_EQ(md[i], model.maxDelay(stages, temp, vs[i])) << i;
-        EXPECT_EQ(fr[i].value(),
-                  model.frequency(stages, temp, vs[i]).value())
-            << i;
+    for (const Kelvin temp : kTemps) {
+        model.maxDelayBatch(stages, temp, vs, md);
+        model.frequencyBatch(stages, temp, vs, fr);
+        for (std::size_t i = 0; i < vs.size(); ++i) {
+            EXPECT_EQ(md[i], model.maxDelay(stages, temp, vs[i]))
+                << temp.value() << " K, " << i;
+            EXPECT_EQ(fr[i].value(),
+                      model.frequency(stages, temp, vs[i]).value())
+                << temp.value() << " K, " << i;
+        }
     }
 }
 
@@ -231,33 +156,39 @@ TEST(BatchEquivalence, VoltageOptimizerMatchesExplicitGridScan)
     core::VoltageConstraints c;
     c.vddStep = 0.05; // coarse grid keeps the scalar rescan fast
     c.vthStep = 0.025;
-    const auto best = opt.optimize(core77, base, 77.0,
-                                   core::VoltageObjective::Frequency, c);
-    ASSERT_TRUE(best.feasible);
+    // ablation-voltage's temperatures; 4 K and 400 K have no feasible
+    // point on this coarse grid.
+    for (const double temp : {77.0, 100.0, 150.0, 200.0, 300.0}) {
+        SCOPED_TRACE(temp);
+        const auto best = opt.optimize(
+            core77, base, temp, core::VoltageObjective::Frequency, c);
+        ASSERT_TRUE(best.feasible);
 
-    core::VoltagePlanPoint expect;
-    double best_score = -1.0;
-    // Integer-indexed grid points (min + i*step), matching the
-    // optimizer's own grid exactly - repeated addition would drift by
-    // ulps and probe different voltages.
-    for (int i = 0; c.minVdd + i * c.vddStep <= c.vddMax + 1e-12; ++i) {
-        const double vdd = c.minVdd + i * c.vddStep;
-        for (int j = 0; c.vthMin + j * c.vthStep <= c.vthMax + 1e-12;
-             ++j) {
-            const double vth = c.vthMin + j * c.vthStep;
-            const auto p =
-                opt.evaluate(core77, base, 77.0, {vdd, vth}, c);
-            if (p.feasible && p.frequency > best_score) {
-                best_score = p.frequency;
-                expect = p;
+        core::VoltagePlanPoint expect;
+        double best_score = -1.0;
+        // Integer-indexed grid points (min + i*step), matching the
+        // optimizer's own grid exactly - repeated addition would drift
+        // by ulps and probe different voltages.
+        for (int i = 0; c.minVdd + i * c.vddStep <= c.vddMax + 1e-12;
+             ++i) {
+            const double vdd = c.minVdd + i * c.vddStep;
+            for (int j = 0; c.vthMin + j * c.vthStep <= c.vthMax + 1e-12;
+                 ++j) {
+                const double vth = c.vthMin + j * c.vthStep;
+                const auto p =
+                    opt.evaluate(core77, base, temp, {vdd, vth}, c);
+                if (p.feasible && p.frequency > best_score) {
+                    best_score = p.frequency;
+                    expect = p;
+                }
             }
         }
+        EXPECT_EQ(best.voltage.vdd, expect.voltage.vdd);
+        EXPECT_EQ(best.voltage.vth, expect.voltage.vth);
+        EXPECT_EQ(best.frequency, expect.frequency);
+        EXPECT_EQ(best.totalPower, expect.totalPower);
+        EXPECT_EQ(best.leakageFactor, expect.leakageFactor);
     }
-    EXPECT_EQ(best.voltage.vdd, expect.voltage.vdd);
-    EXPECT_EQ(best.voltage.vth, expect.voltage.vth);
-    EXPECT_EQ(best.frequency, expect.frequency);
-    EXPECT_EQ(best.totalPower, expect.totalPower);
-    EXPECT_EQ(best.leakageFactor, expect.leakageFactor);
 }
 
 } // namespace

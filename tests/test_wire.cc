@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 
 #include "tech/repeater.hh"
 #include "tech/technology.hh"
 #include "tech/wire_rc.hh"
 #include "util/diag.hh"
+#include "util/hash.hh"
 #include "util/units.hh"
 
 namespace
@@ -166,15 +170,87 @@ TEST_F(WireTest, RepeaterSpeedupNearSqrtLaw)
     EXPECT_NEAR(actual, predicted, 0.12 * predicted);
 }
 
+TEST_F(WireTest, DelayDigestsArePinned)
+{
+    // The exact bits of the wire kernels, one FNV-1a digest per layer
+    // over 7 temperatures x 4 voltage points x a 50-step length ladder
+    // (1 um to 56 mm): every field of RepeateredWire::optimize, at the
+    // default segment cap and at a cap of 3, plus WireRC::delay for
+    // two driver/load sizes and delayWithFrozenLayout from 300 K and
+    // 77 K designs.  Recorded before the repeater search was hoisted;
+    // any change to the arithmetic of these kernels moves a digest.
+    const VoltagePoint voltages[] = {
+        {1.25, 0.47}, {1.0, 0.468}, {0.9, 0.25}, {0.75, 0.2}};
+    const double temps[] = {4.0, 77.0, 100.0, 150.0, 200.0, 300.0, 400.0};
+    struct Case
+    {
+        WireLayer layer;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {WireLayer::Local, 0x9c02a2c9d29afce2ull},
+        {WireLayer::SemiGlobal, 0x593af7ad30f25916ull},
+        {WireLayer::Global, 0x86e26a6fae1ea23eull},
+    };
+    for (const Case &c : cases) {
+        const RepeateredWire rep{tech.wire(c.layer), tech.mosfet()};
+        const WireRC rc{tech.wire(c.layer), tech.mosfet()};
+        const WireRC small{tech.wire(c.layer), tech.mosfet(), 8.0, 2.0};
+        cryo::Fnv1a digest;
+        for (const double t : temps) {
+            const Kelvin temp{t};
+            double len = 1e-6;
+            for (int i = 0; i < 50; ++i, len *= 1.25) {
+                const Metre length{len};
+                digest.f64(rep.delayWithFrozenLayout(length, 300.0_K, temp)
+                               .value())
+                    .f64(rep.delayWithFrozenLayout(length, 77.0_K, temp)
+                             .value());
+                for (const VoltagePoint &v : voltages) {
+                    for (const int cap : {256, 3}) {
+                        const RepeaterDesign d =
+                            rep.optimize(length, temp, v, cap);
+                        digest.i64(d.segments)
+                            .f64(d.size)
+                            .f64(d.delay.value())
+                            .f64(d.segmentLen.value());
+                    }
+                    digest.f64(rc.delay(length, temp, v).value())
+                        .f64(small.delay(length, temp, v).value());
+                }
+            }
+        }
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llx",
+                      static_cast<unsigned long long>(digest.digest()));
+        EXPECT_EQ(digest.digest(), c.digest)
+            << wireLayerName(c.layer) << ": " << hex;
+    }
+}
+
 TEST_F(WireTest, BadArgumentsRejected)
 {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
     RepeateredWire rep{tech.wire(WireLayer::Global), tech.mosfet()};
-    EXPECT_THROW(rep.optimize(-1.0 * m, 300.0_K), FatalError);
     WireRC rc{tech.wire(WireLayer::Local), tech.mosfet(), 8.0};
-    EXPECT_THROW(rc.delay(-1.0 * m, 300.0_K), FatalError);
-    EXPECT_THROW(
-        (WireRC{tech.wire(WireLayer::Local), tech.mosfet(), 0.0}),
-        FatalError);
+    for (const double bad : {-1.0, nan, inf}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(rep.optimize(Metre{bad}, 300.0_K), FatalError);
+        EXPECT_THROW(tech.repeateredWireSpeedup(WireLayer::Global,
+                                                Metre{bad}, 77.0_K),
+                     FatalError);
+        EXPECT_THROW(rc.delay(Metre{bad}, 300.0_K), FatalError);
+    }
+    for (const double bad : {0.0, nan, inf}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(
+            (WireRC{tech.wire(WireLayer::Local), tech.mosfet(), bad}),
+            FatalError);
+        EXPECT_THROW(
+            (WireRC{tech.wire(WireLayer::Local), tech.mosfet(), 8.0, bad}),
+            FatalError);
+    }
 }
 
 TEST_F(WireTest, TransistorSpeedupAnchor)

@@ -17,10 +17,11 @@ Rules:
     new kernels absent from the baseline are reported as hints to
     refresh with --update.
 
-Timings are wall-clock medians, so the default threshold is a
-deliberately loose 15% - the gate is for order-of-magnitude
-regressions (a hoisted invariant sliding back into a hot loop), not
-for single-digit noise.
+Timings are wall-clock minimums over the benchmark's reps (see
+bench/micro_common.hh), and they still move between hosts and
+between runs, so the default threshold is a deliberately loose 15% -
+the gate is for order-of-magnitude regressions (a hoisted invariant
+sliding back into a hot loop), not for single-digit noise.
 """
 
 from __future__ import annotations
