@@ -228,10 +228,8 @@ ResultCache::degradeLocked(const std::string &why)
 }
 
 bool
-ResultCache::appendLocked(const std::string &hashHex,
-                          const PointMetrics &m)
+ResultCache::appendLocked(const std::string &record)
 {
-    const std::string record = formatRecord(hashHex, m) + "\n";
     const failpoint::Action fp =
         failpoint::eval("cache.append.write");
     if (fp.kind == failpoint::ActionKind::kError) {
@@ -264,11 +262,16 @@ ResultCache::appendLocked(const std::string &hashHex,
 void
 ResultCache::store(const std::string &hashHex, const PointMetrics &m)
 {
+    // Format outside the lock, so concurrent stores serialize only on
+    // the map update and the write. A memory-only cache formats
+    // nothing.
+    const std::string record =
+        path_.empty() ? std::string{} : formatRecord(hashHex, m) + "\n";
     std::lock_guard<std::mutex> lock(mu_);
     const bool fresh = entries_.find(hashHex) == entries_.end();
     entries_.insert_or_assign(hashHex, m);
     if (fresh && fd_ >= 0)
-        appendLocked(hashHex, m);
+        appendLocked(record);
 }
 
 void

@@ -150,8 +150,8 @@ class ResultCache
   private:
     void loadExisting();
     void quarantine(const std::string &line);
-    bool appendLocked(const std::string &hashHex,
-                      const PointMetrics &m);
+    /** Append one framed record, newline included. */
+    bool appendLocked(const std::string &record);
     void compactLocked();
     void degradeLocked(const std::string &why);
 

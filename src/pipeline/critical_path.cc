@@ -1,6 +1,7 @@
 #include "critical_path.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "util/diag.hh"
 #include "util/units.hh"
@@ -11,6 +12,74 @@ namespace cryo::pipeline
 using units::Hertz;
 using units::Kelvin;
 using units::Second;
+
+namespace
+{
+
+/**
+ * The (T, V) terms that every stage of one call shares: the MOSFET
+ * delay factor, and each wire class's wireScale (its WireRC, 300 K
+ * reference delay and delay at (T, V)). Each is computed the first
+ * time a stage asks for it, so a call pays once per term rather than
+ * once per stage, and a call over no stages computes nothing.
+ */
+class CallScales
+{
+  public:
+    CallScales(const CriticalPathModel &model, Kelvin temp,
+               const tech::VoltagePoint &v)
+        : model_(model), temp_(temp), v_(v)
+    {
+        wireScale_.fill(kUnset);
+    }
+
+    /** Delay of @p s at (T, V): logic + wire, logic computed first. */
+    double total(const PipelineStage &s)
+    {
+        const double l = logic(s);
+        return l + wire(s);
+    }
+
+    StageDelay delay(const PipelineStage &s)
+    {
+        StageDelay d;
+        d.name = s.name;
+        d.kind = s.kind;
+        d.pipelinable = s.pipelinable;
+        d.logic = logic(s);
+        d.wire = wire(s);
+        return d;
+    }
+
+  private:
+    /** Delay factors and wire scales are positive ratios. */
+    static constexpr double kUnset = -1.0;
+
+    double logic(const PipelineStage &s)
+    {
+        if (delayFactor_ == kUnset)
+            delayFactor_ =
+                model_.technology().mosfet().delayFactor(temp_, v_);
+        return s.logic300() * delayFactor_;
+    }
+
+    double wire(const PipelineStage &s)
+    {
+        const auto wc = static_cast<std::size_t>(s.wireClass);
+        double &scale = wireScale_.at(wc);
+        if (scale == kUnset)
+            scale = model_.wireScale(s.wireClass, temp_, v_);
+        return s.wire300() * scale;
+    }
+
+    const CriticalPathModel &model_;
+    Kelvin temp_;
+    tech::VoltagePoint v_;
+    double delayFactor_ = kUnset;
+    std::array<double, 5> wireScale_; ///< one per WireClass
+};
+
+} // namespace
 
 CriticalPathModel::CriticalPathModel(const tech::Technology &tech,
                                      Floorplan floorplan, Hertz ref_freq)
@@ -63,13 +132,7 @@ StageDelay
 CriticalPathModel::stageDelay(const PipelineStage &stage, Kelvin temp,
                               const tech::VoltagePoint &v) const
 {
-    StageDelay d;
-    d.name = stage.name;
-    d.kind = stage.kind;
-    d.pipelinable = stage.pipelinable;
-    d.logic = stage.logic300() * tech_.mosfet().delayFactor(temp, v);
-    d.wire = stage.wire300() * wireScale(stage.wireClass, temp, v);
-    return d;
+    return CallScales{*this, temp, v}.delay(stage);
 }
 
 StageDelay
@@ -83,10 +146,11 @@ std::vector<StageDelay>
 CriticalPathModel::stageDelays(const StageList &stages, Kelvin temp,
                                const tech::VoltagePoint &v) const
 {
+    CallScales scales{*this, temp, v};
     std::vector<StageDelay> out;
     out.reserve(stages.size());
     for (const auto &s : stages)
-        out.push_back(stageDelay(s, temp, v));
+        out.push_back(scales.delay(s));
     return out;
 }
 
@@ -102,9 +166,10 @@ CriticalPathModel::maxDelay(const StageList &stages, Kelvin temp,
                             const tech::VoltagePoint &v) const
 {
     fatalIf(stages.empty(), "pipeline has no stages");
+    CallScales scales{*this, temp, v};
     double best = 0.0;
     for (const auto &s : stages)
-        best = std::max(best, stageDelay(s, temp, v).total());
+        best = std::max(best, scales.total(s));
     return best;
 }
 
@@ -163,10 +228,11 @@ CriticalPathModel::criticalStage(const StageList &stages, Kelvin temp,
                                  const tech::VoltagePoint &v) const
 {
     fatalIf(stages.empty(), "pipeline has no stages");
+    CallScales scales{*this, temp, v};
     const PipelineStage *best = &stages.front();
     double best_delay = 0.0;
     for (const auto &s : stages) {
-        const double d = stageDelay(s, temp, v).total();
+        const double d = scales.total(s);
         if (d > best_delay) {
             best_delay = d;
             best = &s;

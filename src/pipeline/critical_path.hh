@@ -47,6 +47,11 @@ struct StageDelay
  *
  * Delays stay in the Fig.-12 normalization (300 K max = 1.0); the
  * reference frequency maps them to absolute time.
+ *
+ * Every call over a stage list at (T, V) computes the MOSFET delay
+ * factor once, and each wire class's wireScale once, the first time a
+ * stage needs it; a stage's delay is then logic300 x factor +
+ * wire300 x scale, bit for bit what a per-stage stageDelay gives.
  */
 class CriticalPathModel
 {
@@ -84,10 +89,10 @@ class CriticalPathModel
     /**
      * Batched maxDelay over a voltage grid at one temperature:
      * out[i] = maxDelay(stages, temp, vs[i]) bit-for-bit.  Computes
-     * the drive delay factors once for the whole grid (they are shared
-     * by every stage) and hoists each stage's (T, L)-only wire terms
-     * and 300 K reference delay out of the per-point loop; the scalar
-     * path re-derives all of them per (stage, point).
+     * the drive delay factors once for the whole grid and hoists each
+     * wire-bearing stage's (T, L)-only wire terms and 300 K reference
+     * delay out of the per-point loop; the scalar path computes the
+     * factor and each class's wire scale once per (T, V) call.
      */
     void maxDelayBatch(const StageList &stages, units::Kelvin temp,
                        std::span<const tech::VoltagePoint> vs,

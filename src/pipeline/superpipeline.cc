@@ -43,23 +43,26 @@ Superpipeliner::plan(const StageList &stages, units::Kelvin temp,
     fatalIf(stages.empty(), "pipeline has no stages");
 
     SuperpipelinePlan out;
+    const std::vector<StageDelay> delays =
+        model_.stageDelays(stages, temp, v);
 
     // Step 1: target = longest un-pipelinable delay at (T, V).
-    for (const auto &s : stages) {
-        if (s.pipelinable)
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        if (stages[i].pipelinable)
             continue;
-        const double d = model_.stageDelay(s, temp, v).total();
+        const double d = delays[i].total();
         if (d > out.targetLatency) {
             out.targetLatency = d;
-            out.targetStage = s.name;
+            out.targetStage = stages[i].name;
         }
     }
     fatalIf(out.targetLatency <= 0.0,
             "pipeline has no un-pipelinable stage to set the target");
 
     // Step 2: cut every pipelinable stage exceeding the target.
-    for (const auto &s : stages) {
-        const double d = model_.stageDelay(s, temp, v).total();
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        const PipelineStage &s = stages[i];
+        const double d = delays[i].total();
         if (s.pipelinable && d > out.targetLatency && s.maxSplit > 1) {
             // Smallest piece count whose substage (balanced split plus
             // latch overhead) fits under the target; capped by maxSplit.
@@ -79,9 +82,9 @@ Superpipeliner::plan(const StageList &stages, units::Kelvin temp,
             // evaluates to exactly latchOverhead_ at the design point.
             const double mf =
                 model_.technology().mosfet().delayFactor(temp, v);
-            for (int i = 0; i < pieces; ++i) {
+            for (int j = 0; j < pieces; ++j) {
                 PipelineStage sub = s;
-                sub.name = split.substages[i];
+                sub.name = split.substages[j];
                 const double logic300 =
                     s.logic300() / pieces + latchOverhead_ / mf;
                 const double wire300 = s.wire300() / pieces;

@@ -1,9 +1,11 @@
 #include "json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "diag.hh"
 
@@ -17,16 +19,23 @@ formatDouble(double value)
         return "nan";
     if (std::isinf(value))
         return value > 0.0 ? "inf" : "-inf";
-    // Shortest representation that survives the round trip: most
-    // doubles need 15-16 significant digits, the rest max_digits10
-    // (17), which always suffices.
+    // The first of %.15g, %.16g and %.17g that survives the round
+    // trip: most doubles need 15-16 significant digits, the rest
+    // max_digits10 (17), which always suffices. to_chars in general
+    // format at a precision is printf's %.*g in the C locale, and
+    // from_chars rounds as strtod does; neither reads the locale.
     char buf[40];
+    char *end = buf;
     for (int precision = 15; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-        if (std::strtod(buf, nullptr) == value)
+        end = std::to_chars(buf, buf + sizeof buf, value,
+                            std::chars_format::general, precision)
+                  .ptr;
+        double back = 0.0;
+        const std::from_chars_result r = std::from_chars(buf, end, back);
+        if (r.ec == std::errc{} && back == value)
             break;
     }
-    return buf;
+    return std::string(buf, end);
 }
 
 JsonWriter::JsonWriter(std::ostream &out, int indent)

@@ -34,9 +34,10 @@ namespace cryo
 {
 
 /**
- * Shortest decimal string that parses back to exactly @p value
- * (round-trip / max_digits10 precision). Non-finite values render as
- * "nan" / "inf" / "-inf"; callers that need strict JSON must handle
+ * The first of printf's %.15g, %.16g and %.17g renderings of @p value
+ * that parses back to exactly @p value (17 = max_digits10 always
+ * does), independent of the process locale. Non-finite values render
+ * as "nan" / "inf" / "-inf"; callers that need strict JSON must handle
  * those before formatting (JsonWriter does).
  */
 std::string formatDouble(double value);

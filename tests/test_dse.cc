@@ -543,4 +543,33 @@ TEST(Pareto, ExtractsTheNonDominatedSet)
     EXPECT_EQ(rows, 3u);
 }
 
+TEST(DseTest, Grid10kOutputIsPinned)
+{
+    // The bytes `cryowire_sweep --spec examples/specs/dse_grid_10k.json
+    // --out F --pareto P` writes, as FNV-1a digests of the JSONL stream
+    // and the Pareto CSV: every metric of all 10,000 points, rendered
+    // through formatDouble.  Recorded before the critical-path hoist
+    // and the to_chars formatDouble; any change to the model's
+    // arithmetic or to the number rendering moves a digest.
+    const SweepSpec spec = SweepSpec::load(
+        CRYOWIRE_SOURCE_DIR "/examples/specs/dse_grid_10k.json");
+    ASSERT_EQ(spec.pointCount(), 10000u);
+    const PointEvaluator eval;
+    std::ostringstream jsonl;
+    const std::vector<EvaluatedPoint> points = runSweep(spec, eval, jsonl);
+    std::ostringstream csv;
+    writeParetoCsv(csv, points, paretoFrontier(points));
+
+    const auto digestOf = [](const std::string &bytes) {
+        Fnv1a h;
+        h.bytes(bytes.data(), bytes.size());
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llx",
+                      static_cast<unsigned long long>(h.digest()));
+        return std::string{hex};
+    };
+    EXPECT_EQ(digestOf(jsonl.str()), "0xf352f09b95bef763");
+    EXPECT_EQ(digestOf(csv.str()), "0xcad2537cee8bd7f4");
+}
+
 } // namespace

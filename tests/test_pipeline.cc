@@ -7,16 +7,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
+#include "pipeline/core_config.hh"
 #include "pipeline/critical_path.hh"
 #include "pipeline/stage_library.hh"
+#include "pipeline/superpipeline.hh"
 #include "tech/technology.hh"
+#include "util/hash.hh"
 
 namespace
 {
 
 using namespace cryo::pipeline;
 using cryo::tech::Technology;
+using cryo::tech::VoltagePoint;
 using namespace cryo::units::literals;
 using cryo::units::Kelvin;
 
@@ -178,6 +185,89 @@ TEST_F(PipelineTest, WireScaleAnchors)
               1.6);
     EXPECT_DOUBLE_EQ(model.wireScale(WireClass::None, 77.0_K, nominal),
                      1.0);
+}
+
+TEST(CriticalPathTest, DelayDigestsArePinned)
+{
+    // The exact bits of the critical-path kernels, one FNV-1a digest
+    // per (stage list, floorplan scale) over 6 temperatures x 4
+    // voltage points: maxDelay, frequency, criticalStage, every field
+    // of stageDelays and of the per-stage stageDelay, and the
+    // Superpipeliner plan (target, splits, result stages).  The stage
+    // lists are the baseline's and CryoSP's; CHP-core runs the
+    // baseline list, at 0.75/0.25 V, which is one of the voltage
+    // points.  The fourth voltage is SystemBuilder::atTemperature's
+    // interpolation between the 300 K nominal and the CryoSP point.
+    // Recorded before the per-call hoist of the delay factor and the
+    // wire scales; any change to the arithmetic of these kernels moves
+    // a digest.
+    const Technology tech = Technology::freePdk45();
+    const double temps[] = {77.0, 100.0, 150.0, 200.0, 250.0, 300.0};
+    struct Case
+    {
+        bool cryoSP;
+        double scale;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {false, 0.8, 0xbf272dd9ee4c9a7aull},
+        {false, 1.0, 0x33208f586848d275ull},
+        {false, 1.3, 0x6b12c4600fbf3e28ull},
+        {true, 0.8, 0x3b968319d55dfbb2ull},
+        {true, 1.0, 0xcfa487a1fe83b0ffull},
+        {true, 1.3, 0x38374807505a40a1ull},
+    };
+    for (const Case &c : cases) {
+        const CoreDesigner designer{
+            tech, Floorplan::skylakeLike().scaled(c.scale)};
+        const CriticalPathModel &model = designer.model();
+        const Superpipeliner sp{model};
+        const StageList stages = c.cryoSP ? designer.cryoSP().stages
+                                          : designer.baseline300().stages;
+        cryo::Fnv1a digest;
+        for (const double t : temps) {
+            const Kelvin temp{t};
+            const double f = (300.0 - t) / (300.0 - 77.0);
+            const VoltagePoint voltages[] = {
+                tech.mosfet().params().nominal,
+                {0.64, 0.25},
+                {0.75, 0.25},
+                {1.25 + f * (0.64 - 1.25), 0.47 + f * (0.25 - 0.47)}};
+            for (const VoltagePoint &v : voltages) {
+                digest.f64(model.maxDelay(stages, temp, v))
+                    .f64(model.frequency(stages, temp, v).value())
+                    .str(model.criticalStage(stages, temp, v));
+                for (const StageDelay &d :
+                     model.stageDelays(stages, temp, v))
+                    digest.str(d.name)
+                        .i64(static_cast<int>(d.kind))
+                        .b(d.pipelinable)
+                        .f64(d.logic)
+                        .f64(d.wire);
+                for (const PipelineStage &s : stages) {
+                    const StageDelay d = model.stageDelay(s, temp, v);
+                    digest.f64(d.logic).f64(d.wire);
+                }
+                const SuperpipelinePlan plan = sp.plan(stages, temp, v);
+                digest.f64(plan.targetLatency)
+                    .str(plan.targetStage)
+                    .i64(plan.addedStages);
+                for (const StageSplit &split : plan.splits) {
+                    digest.str(split.stage).i64(split.pieces);
+                    for (const std::string &name : split.substages)
+                        digest.str(name);
+                }
+                for (const PipelineStage &s : plan.result)
+                    digest.str(s.name).f64(s.delay300).f64(s.wireFraction);
+            }
+        }
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llx",
+                      static_cast<unsigned long long>(digest.digest()));
+        EXPECT_EQ(digest.digest(), c.digest)
+            << (c.cryoSP ? "CryoSP" : "baseline") << " at floorplan x"
+            << c.scale << ": " << hex;
+    }
 }
 
 /** Parameterized over stages: cooling never slows any stage. */

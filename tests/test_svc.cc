@@ -484,6 +484,19 @@ TEST(Protocol, PropertyRoundTripCorpus)
  * (retry-specific behavior gets dedicated tests in test_chaos.cc). */
 using svc::Client;
 
+/**
+ * A request id: @p tag, then @p n. Built by appending: GCC 12 at -O3
+ * inlines `"d" + std::to_string(n)` into a -Wrestrict false positive
+ * (GCC bug 105651), which fails the Release -Werror build.
+ */
+std::string
+requestId(const char *tag, std::size_t n)
+{
+    std::string id{tag};
+    id += std::to_string(n);
+    return id;
+}
+
 /** The differential corpus: 8 distinct points x 4 metric subsets,
  * 200 requests, shuffled deterministically. */
 struct DiffCorpus
@@ -498,7 +511,7 @@ struct DiffCorpus
     Request request(std::size_t base) const
     {
         Request r;
-        r.id = "d" + std::to_string(base);
+        r.id = requestId("d", base);
         r.op = Op::kEval;
         r.point = pool[poolIndex(base)];
         r.metrics = subsets[subsetIndex(base)];
@@ -647,7 +660,7 @@ TEST(SvcDifferential, PipelinedEightWorkersDedupeInFlight)
     }
 
     for (std::size_t base = 0; base < 200; ++base) {
-        const auto it = byId.find("d" + std::to_string(base));
+        const auto it = byId.find(requestId("d", base));
         ASSERT_NE(it, byId.end());
         EXPECT_EQ(it->second.metricsJson, want[base]);
     }
@@ -903,7 +916,7 @@ TEST(SvcOverload, ShedsBeyondTheBoundedQueue)
     std::string burst;
     for (int i = 0; i < 12; ++i) {
         Request r;
-        r.id = "o" + std::to_string(i);
+        r.id = requestId("o", static_cast<std::size_t>(i));
         r.op = Op::kEval;
         r.point.workload = "streamcluster";
         r.point.tempK = 150.0 + 10.0 * i;
@@ -983,7 +996,9 @@ TEST(SvcStress, SoakKeepsOneReplyPerRequest)
                 continue;
             }
             Request r;
-            r.id = "t" + std::to_string(tid) + "-" + std::to_string(j);
+            r.id = requestId("t", tid);
+            r.id += '-';
+            r.id += std::to_string(j);
             r.op = Op::kEval;
             r.point = pool[(tid + j) % pool.size()];
             if (j % 3 == 0)

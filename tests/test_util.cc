@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -497,6 +500,126 @@ TEST(Json, FormatDoubleRoundTrips)
     // Integral doubles print without an exponent or trailing zeros.
     EXPECT_EQ(formatDouble(4.0), "4");
     EXPECT_EQ(formatDouble(0.5), "0.5");
+}
+
+/**
+ * formatDouble's contract for a finite @p value, spelled out with
+ * printf and strtod: the first of %.15g/%.16g/%.17g that reads back
+ * as @p value. *precision is the one it took.
+ */
+std::string
+printfFormatDouble(double value, int *precision)
+{
+    char buf[40];
+    for (*precision = 15; *precision <= 17; ++*precision) {
+        std::snprintf(buf, sizeof(buf), "%.*g", *precision, value);
+        if (std::strtod(buf, nullptr) == value)
+            break;
+    }
+    return buf;
+}
+
+TEST(JsonTest, FormatDoubleMatchesPrintfReference)
+{
+    // Byte equality with the printf/strtod rendering over ~2.05M
+    // doubles: every JSON, CSV and cache record prints through
+    // formatDouble, so one differing digit would move every pinned
+    // output.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(formatDouble(nan), "nan");
+    EXPECT_EQ(formatDouble(-nan), "nan");
+    EXPECT_EQ(formatDouble(inf), "inf");
+    EXPECT_EQ(formatDouble(-inf), "-inf");
+
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        std::numeric_limits<double>::min(),
+        -std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+        std::nextafter(std::numeric_limits<double>::max(), 0.0),
+    };
+    std::mt19937_64 gen{20261018};
+    const auto randomFinite = [&gen] {
+        for (;;) {
+            const double v = std::bit_cast<double>(gen());
+            if (std::isfinite(v))
+                return v;
+        }
+    };
+    // Random finite bit patterns: every exponent and sign.
+    for (int i = 0; i < 1'000'000; ++i)
+        values.push_back(randomFinite());
+    // Magnitudes the model prints (1e-12 to 1e12), full mantissas.
+    std::uniform_real_distribution<double> decade{-12.0, 12.0};
+    for (int i = 0; i < 500'000; ++i)
+        values.push_back(std::pow(10.0, decade(gen)));
+    // Subnormals: a zero exponent field under a random mantissa.
+    for (int i = 0; i < 200'000; ++i)
+        values.push_back(std::bit_cast<double>(
+            gen() & 0x800fffffffffffffull));
+    // Integers around 2^53, where doubles stop holding every integer.
+    for (int k = -5'000; k <= 5'000; ++k) {
+        values.push_back(9007199254740992.0 + k);
+        values.push_back(-9007199254740992.0 + 2.0 * k);
+    }
+    // Powers of ten and their neighbours.
+    for (int e = -300; e <= 300; ++e) {
+        char text[16];
+        std::snprintf(text, sizeof text, "1e%d", e);
+        const double p = std::strtod(text, nullptr);
+        values.push_back(p);
+        values.push_back(std::nextafter(p, 0.0));
+        values.push_back(std::nextafter(p, inf));
+    }
+    // Values that need at most 15, 16 and 17 digits: a random double
+    // read back from its %.(d-1)e text holds at most d digits.
+    for (const int digits : {15, 16, 17}) {
+        for (int i = 0; i < 110'000; ++i) {
+            char text[40];
+            std::snprintf(text, sizeof text, "%.*e", digits - 1,
+                          randomFinite());
+            values.push_back(std::strtod(text, nullptr));
+        }
+    }
+    ASSERT_GE(values.size(), 2'000'000u);
+
+    // The reference costs a few microseconds a value, so the values
+    // are checked on the pool; each verdict is a function of its
+    // index alone.
+    struct Verdict
+    {
+        int precision = 0; ///< the one the reference took
+        bool same = false;
+    };
+    const std::vector<Verdict> verdicts =
+        parallelMap(values.size(), [&values](std::size_t i) {
+            Verdict out;
+            out.same = formatDouble(values[i]) ==
+                       printfFormatDouble(values[i], &out.precision);
+            return out;
+        });
+    std::size_t byPrecision[3] = {0, 0, 0};
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        ++byPrecision[std::min(verdicts[i].precision, 17) - 15];
+        if (!verdicts[i].same && ++mismatches <= 10) {
+            int precision = 0;
+            ADD_FAILURE() << std::hexfloat << values[i]
+                          << ": formatDouble " << formatDouble(values[i])
+                          << ", printf "
+                          << printfFormatDouble(values[i], &precision);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // Every rung of the precision ladder was exercised.
+    for (const std::size_t n : byPrecision)
+        EXPECT_GT(n, 10'000u);
 }
 
 TEST(Json, NonFiniteBecomesNull)
