@@ -92,9 +92,15 @@ SystemBuilder::atTemperature(double temp_k) const
 {
     fatalIf(temp_k < 77.0 || temp_k > 300.0,
             "temperature sweep covers 77-300 K");
-    sys::SystemDesign d = cryoSpCryoBus77();
-    d.name = "CryoSP+CryoBus @" + std::to_string(
-        static_cast<int>(temp_k)) + "K";
+    // Only the CryoSP core carries over from the 77 K design; the
+    // interconnect and memory are built at temp_k directly.
+    sys::SystemDesign d{"CryoSP+CryoBus @" +
+                            std::to_string(static_cast<int>(temp_k)) +
+                            "K",
+                        coreDesigner_.cryoSP(),
+                        nocDesigner_.cryoBusAt(temp_k),
+                        mem::MemTiming::atTemperature(temp_k), false,
+                        1};
     // Voltage floor interpolates between the CryoSP point and the
     // 300 K nominal (Section 7.4's linear-scaling assumption).
     const double f = (300.0 - temp_k) / (300.0 - 77.0);
@@ -106,8 +112,6 @@ SystemBuilder::atTemperature(double temp_k) const
         coreDesigner_.model()
             .frequency(d.core.stages, units::Kelvin{temp_k}, v)
             .value();
-    d.noc = nocDesigner_.cryoBusAt(temp_k);
-    d.mem = mem::MemTiming::atTemperature(temp_k);
     return d;
 }
 

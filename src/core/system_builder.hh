@@ -19,7 +19,10 @@ namespace cryo::core
 {
 
 /**
- * Factory for the paper's evaluated systems.
+ * Factory for the paper's evaluated systems. The core designer keeps
+ * the 300 K baseline and CryoSP cores once built, so a builder reused
+ * across designs pays for each only once; one builder may serve any
+ * number of threads.
  */
 class SystemBuilder
 {
@@ -60,7 +63,9 @@ class SystemBuilder
     /**
      * Fig. 27: the CryoSP + CryoBus system operated at @p temp_k, with
      * voltages, memory timing, and link speeds interpolated between
-     * the published 77 K and 300 K design points.
+     * the published 77 K and 300 K design points. Builds the CryoSP
+     * core (memoized), cryoBusAt(temp_k) and the memory timing at
+     * temp_k, nothing else.
      */
     sys::SystemDesign atTemperature(double temp_k) const;
 

@@ -107,16 +107,21 @@ techKey(const DesignPoint &p)
     return h.digest();
 }
 
+/** Hash of the axes that select a technology family. */
+std::uint64_t
+familyKey(const DesignPoint &p)
+{
+    Fnv1a h;
+    h.u64(techKey(p)).i64(p.cores).f64(p.floorplanScale);
+    return h.digest();
+}
+
 /** Hash of the axes the baseline's suite performance depends on. */
 std::uint64_t
 baselineKey(const DesignPoint &p)
 {
     Fnv1a h;
-    h.u64(techKey(p))
-        .i64(p.cores)
-        .f64(p.floorplanScale)
-        .str(p.suite)
-        .str(p.workload);
+    h.u64(familyKey(p)).str(p.suite).str(p.workload);
     return h.digest();
 }
 
@@ -189,22 +194,31 @@ PointMetrics
 PointMetrics::fromJson(const JsonValue &obj)
 {
     PointMetrics out;
+    std::array<bool, kMetrics.size()> seen{};
     for (const JsonValue::Member &member : obj.members()) {
-        bool known = false;
-        for (const MetricDef &m : kMetrics) {
-            if (member.first != m.name)
-                continue;
-            if (m.num != nullptr)
-                out.*(m.num) = member.second.asNumber();
-            else
-                out.*(m.flag) = member.second.asBool();
-            known = true;
-            break;
-        }
-        if (!known)
+        std::size_t k = 0;
+        while (k < kMetrics.size() && member.first != kMetrics[k].name)
+            ++k;
+        if (k == kMetrics.size())
             fatal("unknown metric \"" + member.first +
                   "\" at line " + std::to_string(member.second.line()));
+        if (seen[k])
+            fatal("duplicate metric \"" + member.first +
+                  "\" at line " + std::to_string(member.second.line()));
+        seen[k] = true;
+        const MetricDef &m = kMetrics[k];
+        if (m.num != nullptr)
+            out.*(m.num) = member.second.asNumber();
+        else
+            out.*(m.flag) = member.second.asBool();
     }
+    // Every metric exactly once: a record written before a metric was
+    // added must not read that metric as 0.
+    for (std::size_t k = 0; k < kMetrics.size(); ++k)
+        if (!seen[k])
+            fatal(std::string("missing metric \"") + kMetrics[k].name +
+                  "\" in the metrics object at line " +
+                  std::to_string(obj.line()));
     return out;
 }
 
@@ -228,6 +242,22 @@ PointMetrics::appendCsv(std::vector<std::string> &cells) const
             cells.push_back(this->*(m.flag) ? "true" : "false");
     }
 }
+
+struct PointEvaluator::Family
+{
+    Family(std::shared_ptr<const tech::Technology> technology,
+           const DesignPoint &p)
+        : tech(std::move(technology)),
+          builder(*tech, p.cores,
+                  pipeline::Floorplan::skylakeLike().scaled(
+                      p.floorplanScale))
+    {
+    }
+
+    /** Declared before the builder, which holds a reference into it. */
+    std::shared_ptr<const tech::Technology> tech;
+    core::SystemBuilder builder;
+};
 
 PointEvaluator::PointEvaluator() = default;
 PointEvaluator::~PointEvaluator() = default;
@@ -260,9 +290,30 @@ PointEvaluator::technologyFor(const DesignPoint &point) const
     return tech;
 }
 
+std::shared_ptr<const PointEvaluator::Family>
+PointEvaluator::familyFor(const DesignPoint &point) const
+{
+    const std::uint64_t key = familyKey(point);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = familyCache_.find(key);
+        if (it != familyCache_.end())
+            return it->second;
+    }
+
+    // Build outside the lock (technologyFor takes it). When threads
+    // race on a cold family the first insert wins and every caller
+    // gets that one, so a family never holds two builders.
+    auto family =
+        std::make_shared<const Family>(technologyFor(point), point);
+    std::lock_guard<std::mutex> lock(mu_);
+    return familyCache_.try_emplace(key, std::move(family))
+        .first->second;
+}
+
 double
 PointEvaluator::baselinePerf(const DesignPoint &point,
-                             const tech::Technology &tech) const
+                             const Family &family) const
 {
     const std::uint64_t key = baselineKey(point);
     {
@@ -275,12 +326,10 @@ PointEvaluator::baselinePerf(const DesignPoint &point,
     // Compute outside the lock: a cold cache under parallelFor may
     // evaluate the same baseline twice, but both runs produce the
     // identical double, so last-writer-wins is benign.
-    const core::SystemBuilder builder{
-        tech, point.cores,
-        pipeline::Floorplan::skylakeLike().scaled(point.floorplanScale)};
     const sys::IntervalSimulator sim;
     const auto suite = suiteFor(point);
-    const auto results = sim.runSuite(builder.baseline300Mesh(), suite);
+    const auto results =
+        sim.runSuite(family.builder.baseline300Mesh(), suite);
     double perf = 0.0;
     for (const sys::SimResult &r : results)
         perf += r.perf();
@@ -296,10 +345,8 @@ PointEvaluator::evaluate(const DesignPoint &point) const
     CRYO_FAILPOINT("dse.eval");
     point.validate();
 
-    const auto tech = technologyFor(point);
-    const core::SystemBuilder builder{
-        *tech, point.cores,
-        pipeline::Floorplan::skylakeLike().scaled(point.floorplanScale)};
+    const auto family = familyFor(point);
+    const core::SystemBuilder &builder = family->builder;
     const sys::SystemDesign design = designFor(builder, point);
     const auto suite = suiteFor(point);
 
@@ -318,15 +365,15 @@ PointEvaluator::evaluate(const DesignPoint &point) const
     const double n = static_cast<double>(results.size());
     m.utilization /= n;
     m.saturatedShare = static_cast<double>(saturated) / n;
-    m.perf = perf / baselinePerf(point, *tech);
+    m.perf = perf / baselinePerf(point, *family);
     m.freqGhz = design.core.frequency / 1e9;
 
     // Fig. 27 power accounting: activity follows frequency
     // (iso_activity=false), normalized to the same-technology 300 K
     // baseline core.
-    const power::McpatLite mcpat{*tech, /*iso_activity=*/false};
+    const power::McpatLite mcpat{*family->tech, /*iso_activity=*/false};
     const auto p = mcpat.corePower(design.core,
-                                   builder.baseline300Mesh().core);
+                                   builder.cores().baseline300());
     m.devicePower = p.device();
     m.coolingPower = p.cooling;
     m.totalPower = p.total();

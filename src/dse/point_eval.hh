@@ -12,10 +12,13 @@
  * to that same-suite baseline, so "perf" is directly the paper's
  * speed-up axis.
  *
- * The evaluator memoizes the expensive invariants (Technology
- * instances, baseline suite performance) behind a mutex; the caches
- * affect cost only, never results, so evaluate() remains a pure
- * function of the point and is safe to call from parallelFor workers.
+ * The evaluator memoizes the expensive invariants behind a mutex:
+ * Technology instances, one SystemBuilder per technology family
+ * (technology axes, core count, floorplan scale) whose core designer
+ * keeps the family's CryoSP and 300 K baseline cores, and baseline
+ * suite performance. The caches affect cost only, never results, so
+ * evaluate() remains a pure function of the point and is safe to call
+ * from parallelFor workers.
  */
 
 #ifndef CRYOWIRE_DSE_POINT_EVAL_HH
@@ -81,7 +84,11 @@ struct PointMetrics
     void writeJson(JsonWriter &w,
                    const std::vector<std::string> &subset) const;
 
-    /** Rebuild from a parsed JSON object (cache load path). */
+    /**
+     * Rebuild from a parsed JSON object (cache load path). Every
+     * metric must appear exactly once; an unknown, duplicate or
+     * missing one is fatal().
+     */
     static PointMetrics fromJson(const JsonValue &obj);
 
     /** CSV header matching appendCsv. */
@@ -127,13 +134,24 @@ class PointEvaluator
     technologyFor(const DesignPoint &point) const;
 
   private:
+    /** A Technology and the SystemBuilder over it. */
+    struct Family;
+
+    /**
+     * The family of the point's technology axes, core count and
+     * floorplan scale, shared by every point of it (memoized).
+     */
+    std::shared_ptr<const Family> familyFor(const DesignPoint &point) const;
+
     double baselinePerf(const DesignPoint &point,
-                        const tech::Technology &tech) const;
+                        const Family &family) const;
 
     mutable std::mutex mu_;
     mutable std::map<std::uint64_t,
                      std::shared_ptr<const tech::Technology>>
         techCache_;
+    mutable std::map<std::uint64_t, std::shared_ptr<const Family>>
+        familyCache_;
     mutable std::map<std::uint64_t, double> baselineCache_;
 };
 

@@ -268,8 +268,7 @@ ResultCache::store(const std::string &hashHex, const PointMetrics &m)
     const std::string record =
         path_.empty() ? std::string{} : formatRecord(hashHex, m) + "\n";
     std::lock_guard<std::mutex> lock(mu_);
-    const bool fresh = entries_.find(hashHex) == entries_.end();
-    entries_.insert_or_assign(hashHex, m);
+    const bool fresh = entries_.insert_or_assign(hashHex, m).second;
     if (fresh && fd_ >= 0)
         appendLocked(record);
 }

@@ -140,14 +140,18 @@ readResults(std::istream &in, const std::string &source)
         ++lineno;
         if (text.empty())
             continue;
-        const JsonValue v =
-            parseJson(text, source + ":" + std::to_string(lineno));
+        const std::string where = source + ":" + std::to_string(lineno);
+        const JsonValue v = parseJson(text, where);
         EvaluatedPoint ep;
-        const std::int64_t i = v.at("i").asInteger();
-        fatalIf(i < 0, "negative sweep index in \"" + source + "\"");
-        ep.index = static_cast<std::size_t>(i);
-        ep.point = DesignPoint::fromJson(v.at("point"));
-        ep.metrics = PointMetrics::fromJson(v.at("metrics"));
+        try {
+            const std::int64_t i = v.at("i").asInteger();
+            fatalIf(i < 0, "negative sweep index");
+            ep.index = static_cast<std::size_t>(i);
+            ep.point = DesignPoint::fromJson(v.at("point"));
+            ep.metrics = PointMetrics::fromJson(v.at("metrics"));
+        } catch (const FatalError &e) {
+            fatal(where + ": " + e.message());
+        }
         out.push_back(std::move(ep));
     }
     return out;

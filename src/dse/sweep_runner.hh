@@ -90,7 +90,10 @@ std::vector<EvaluatedPoint> runSweep(const SweepSpec &spec,
 void mergeShards(const std::vector<std::string> &shardPaths,
                  std::ostream &out);
 
-/** Parse a result JSONL stream back into evaluated points. */
+/**
+ * Parse a result JSONL stream back into evaluated points. A bad line
+ * is fatal(), citing @p source and the line number.
+ */
 std::vector<EvaluatedPoint> readResults(std::istream &in,
                                         const std::string &source);
 

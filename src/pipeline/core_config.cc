@@ -74,8 +74,14 @@ CoreDesigner::cryoCoreStructures()
     return s;
 }
 
-CoreConfig
+const CoreConfig &
 CoreDesigner::baseline300() const
+{
+    return baseline300_.get([this] { return designBaseline300(); });
+}
+
+CoreConfig
+CoreDesigner::designBaseline300() const
 {
     CoreConfig c;
     c.name = "300K Baseline";
@@ -141,8 +147,14 @@ CoreDesigner::superpipelineCryoCore77() const
     return c;
 }
 
-CoreConfig
+const CoreConfig &
 CoreDesigner::cryoSP() const
+{
+    return cryoSp_.get([this] { return designCryoSP(); });
+}
+
+CoreConfig
+CoreDesigner::designCryoSP() const
 {
     CoreConfig c = superpipelineCryoCore77();
     c.name = "77K CryoSP";

@@ -7,6 +7,9 @@
 #ifndef CRYOWIRE_PIPELINE_CORE_CONFIG_HH
 #define CRYOWIRE_PIPELINE_CORE_CONFIG_HH
 
+#include <atomic>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,6 +77,12 @@ struct CoreConfig
  * critical-path model + superpipeliner, IPC from the IPC model) while
  * carrying the paper's published values for every bench to print
  * alongside.
+ *
+ * baseline300() and cryoSP() depend only on the technology and the
+ * floorplan, and every temperature-axis design starts from one of
+ * them, so the designer builds each on the first call that asks and
+ * keeps it; the reference they return stays valid while the designer
+ * lives. One designer may serve any number of threads.
  */
 class CoreDesigner
 {
@@ -88,11 +97,11 @@ class CoreDesigner
         const tech::Technology &tech,
         Floorplan floorplan = Floorplan::skylakeLike());
 
-    CoreConfig baseline300() const;
+    const CoreConfig &baseline300() const;   ///< memoized
     CoreConfig baseline77() const;           ///< cooled, un-redesigned
     CoreConfig superpipeline77() const;
     CoreConfig superpipelineCryoCore77() const;
-    CoreConfig cryoSP() const;
+    const CoreConfig &cryoSP() const;        ///< memoized
     CoreConfig chpCore() const;
 
     /** The five Table-3 columns in order. */
@@ -105,9 +114,46 @@ class CoreDesigner
     static CoreStructures cryoCoreStructures();
 
   private:
+    /**
+     * One design, built by the first call that asks for it and kept.
+     * A racing caller waits for that build; a build that throws
+     * leaves the memo empty, so the next call throws again. A copied
+     * designer starts with empty memos.
+     */
+    class Memo
+    {
+      public:
+        Memo() = default;
+        Memo(const Memo &) {}
+        Memo &operator=(const Memo &) = delete;
+
+        template <typename Build>
+        const CoreConfig &get(Build &&build)
+        {
+            if (!ready_.load(std::memory_order_acquire)) {
+                std::lock_guard<std::mutex> lock(mu_);
+                if (!config_) {
+                    config_.emplace(build());
+                    ready_.store(true, std::memory_order_release);
+                }
+            }
+            return *config_;
+        }
+
+      private:
+        std::mutex mu_;
+        std::atomic<bool> ready_{false};
+        std::optional<CoreConfig> config_;
+    };
+
+    CoreConfig designBaseline300() const;
+    CoreConfig designCryoSP() const;
+
     const tech::Technology &tech_;
     Floorplan floorplan_;
     CriticalPathModel model_;
+    mutable Memo baseline300_;
+    mutable Memo cryoSp_;
 };
 
 } // namespace cryo::pipeline

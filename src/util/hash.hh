@@ -105,8 +105,13 @@ class Fnv1a
  * canonical *content*, this checksums raw *bytes as written*: its job
  * is detecting torn appends and flipped bits in the file, so it must
  * cover exactly what the file holds. Matches the standard CRC-32C
- * (iSCSI, RFC 3720) test vectors; the pinned values in tests make any
- * drift loud.
+ * (iSCSI, RFC 3720) test vectors; the pinned values in
+ * tests/test_dse.cc make any drift loud.
+ *
+ * bytes() is slicing-by-8: eight table lookups fold eight input bytes
+ * into the state at once, and the tail goes byte by byte. Table k
+ * advances a byte's contribution past k further zero bytes, so the
+ * result equals the bytewise loop for any length and alignment.
  */
 class Crc32c
 {
@@ -115,8 +120,18 @@ class Crc32c
     Crc32c &bytes(const void *data, std::size_t n)
     {
         const auto *p = static_cast<const std::uint8_t *>(data);
-        for (std::size_t i = 0; i < n; ++i)
-            state_ = kTable[(state_ ^ p[i]) & 0xffu] ^ (state_ >> 8);
+        std::uint32_t crc = state_;
+        for (; n >= 8; n -= 8, p += 8) {
+            const std::uint32_t lo = crc ^ le32(p);
+            const std::uint32_t hi = le32(p + 4);
+            crc = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+                  kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+                  kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+                  kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+        }
+        for (; n > 0; --n, ++p)
+            crc = kTables[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
+        state_ = crc;
         return *this;
     }
 
@@ -134,16 +149,32 @@ class Crc32c
     }
 
   private:
-    static constexpr std::array<std::uint32_t, 256> kTable = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) != 0 ? 0x82f63b78u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
+    /** Four bytes as a little-endian word, whatever the host order. */
+    static std::uint32_t le32(const std::uint8_t *p)
+    {
+        return static_cast<std::uint32_t>(p[0]) |
+               static_cast<std::uint32_t>(p[1]) << 8 |
+               static_cast<std::uint32_t>(p[2]) << 16 |
+               static_cast<std::uint32_t>(p[3]) << 24;
+    }
+
+    /** kTables[0] is the bytewise table; kTables[k][i] is
+     * kTables[k - 1][i] run through one more zero byte. */
+    static constexpr std::array<std::array<std::uint32_t, 256>, 8>
+        kTables = [] {
+            std::array<std::array<std::uint32_t, 256>, 8> t{};
+            for (std::uint32_t i = 0; i < 256; ++i) {
+                std::uint32_t c = i;
+                for (int k = 0; k < 8; ++k)
+                    c = (c & 1u) != 0 ? 0x82f63b78u ^ (c >> 1) : c >> 1;
+                t[0][i] = c;
+            }
+            for (std::size_t k = 1; k < 8; ++k)
+                for (std::size_t i = 0; i < 256; ++i)
+                    t[k][i] = (t[k - 1][i] >> 8) ^
+                              t[0][t[k - 1][i] & 0xffu];
+            return t;
+        }();
 
     std::uint32_t state_ = 0xffffffffu;
 };

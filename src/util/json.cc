@@ -12,6 +12,106 @@
 namespace cryo
 {
 
+namespace
+{
+
+/** Longest formatDouble output: "-" + 17 digits + "." + "e-308". */
+constexpr std::size_t kDoubleChars = 40;
+
+/** printf's %.<precision>g of a finite @p value, C locale. */
+char *
+renderG(char *buf, double value, int precision)
+{
+    return std::to_chars(buf, buf + kDoubleChars, value,
+                         std::chars_format::general, precision)
+        .ptr;
+}
+
+/**
+ * formatDouble's rendering of a finite @p value into @p buf; returns
+ * the end. to_chars in general format at a precision is printf's %.*g
+ * in the C locale, and from_chars rounds as strtod does; neither
+ * reads the locale.
+ */
+char *
+renderDouble(char *buf, double value)
+{
+    // Shortest round-trip digits in scientific form, "-d.ddde+XX":
+    // count the digits before the exponent.
+    const char *sci = std::to_chars(buf, buf + kDoubleChars, value,
+                                    std::chars_format::scientific)
+                          .ptr;
+    int digits = 0;
+    for (const char *p = buf; p != sci && *p != 'e'; ++p)
+        digits += *p >= '0' && *p <= '9' ? 1 : 0;
+
+    // At most 15 digits: the shortest decimal S reads back as value,
+    // and a decimal of at most DBL_DIG = 15 digits survives the trip
+    // through a double, so %.15g of value is S again. 17 digits: no
+    // 16-digit decimal reads back as value, %.16g included.
+    if (digits <= 15)
+        return renderG(buf, value, 15);
+    if (digits == 17)
+        return renderG(buf, value, 17);
+    // 16 digits: at a binade boundary the nearest 16-digit decimal
+    // can fall outside the narrower half of the rounding interval
+    // while a farther one inside the wider half reads back, so check.
+    char *end = renderG(buf, value, 16);
+    double back = 0.0;
+    const std::from_chars_result r = std::from_chars(buf, end, back);
+    if (r.ec == std::errc{} && back == value)
+        return end;
+    return renderG(buf, value, 17);
+}
+
+/** Append @p s to @p out, escaped per RFC 8259 (no quotes). */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    std::size_t plain = 0; ///< start of the run not yet appended
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char ch = s[i];
+        if (ch != '"' && ch != '\\' &&
+            static_cast<unsigned char>(ch) >= 0x20)
+            continue;
+        out.append(s, plain, i - plain);
+        plain = i + 1;
+        switch (ch) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\r':
+            out += "\\r";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        case '\b':
+            out += "\\b";
+            break;
+        case '\f':
+            out += "\\f";
+            break;
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(
+                              static_cast<unsigned char>(ch)));
+            out += buf;
+        }
+        }
+    }
+    out.append(s, plain, s.size() - plain);
+}
+
+} // namespace
+
 std::string
 formatDouble(double value)
 {
@@ -19,42 +119,44 @@ formatDouble(double value)
         return "nan";
     if (std::isinf(value))
         return value > 0.0 ? "inf" : "-inf";
-    // The first of %.15g, %.16g and %.17g that survives the round
-    // trip: most doubles need 15-16 significant digits, the rest
-    // max_digits10 (17), which always suffices. to_chars in general
-    // format at a precision is printf's %.*g in the C locale, and
-    // from_chars rounds as strtod does; neither reads the locale.
-    char buf[40];
-    char *end = buf;
-    for (int precision = 15; precision <= 17; ++precision) {
-        end = std::to_chars(buf, buf + sizeof buf, value,
-                            std::chars_format::general, precision)
-                  .ptr;
-        double back = 0.0;
-        const std::from_chars_result r = std::from_chars(buf, end, back);
-        if (r.ec == std::errc{} && back == value)
-            break;
-    }
-    return std::string(buf, end);
+    char buf[kDoubleChars];
+    return std::string(buf, renderDouble(buf, value));
 }
 
 JsonWriter::JsonWriter(std::ostream &out, int indent)
     : out_(out), indent_(indent)
 {
+    // One allocation holds a DSE record or a service reply whole.
+    buf_.reserve(512);
 }
 
 JsonWriter::~JsonWriter()
 {
-    // Not fatal() in a destructor; unfinished documents are a bug the
-    // tests catch via the emitted text.
+    // Not fatal() in a destructor: an unfinished document (a throw
+    // mid-document) is written as far as it got, for the tests and
+    // the reader to see.
+    if (!buf_.empty())
+        out_.write(buf_.data(),
+                   static_cast<std::streamsize>(buf_.size()));
     if (done_ && stack_.empty())
         out_ << '\n';
 }
 
 void
-JsonWriter::raw(const std::string &text)
+JsonWriter::newline()
 {
-    out_ << text;
+    buf_ += '\n';
+    buf_.append(stack_.size() * static_cast<std::size_t>(indent_), ' ');
+}
+
+void
+JsonWriter::afterValue()
+{
+    if (!stack_.empty())
+        return;
+    done_ = true;
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
 }
 
 void
@@ -78,21 +180,17 @@ JsonWriter::beforeValue(bool is_key)
         fatalIf(is_key, "JSON key inside an array");
     }
     if (!top.first)
-        out_ << ',';
+        buf_ += ',';
     top.first = false;
-    if (indent_ > 0) {
-        out_ << '\n'
-             << std::string(stack_.size() *
-                                static_cast<std::size_t>(indent_),
-                            ' ');
-    }
+    if (indent_ > 0)
+        newline();
 }
 
 JsonWriter &
 JsonWriter::beginObject()
 {
     beforeValue(false);
-    out_ << '{';
+    buf_ += '{';
     stack_.push_back({'{', true});
     return *this;
 }
@@ -105,15 +203,10 @@ JsonWriter::endObject()
     fatalIf(keyPending_, "JSON key without a value");
     const bool empty = stack_.back().first;
     stack_.pop_back();
-    if (!empty && indent_ > 0) {
-        out_ << '\n'
-             << std::string(stack_.size() *
-                                static_cast<std::size_t>(indent_),
-                            ' ');
-    }
-    out_ << '}';
-    if (stack_.empty())
-        done_ = true;
+    if (!empty && indent_ > 0)
+        newline();
+    buf_ += '}';
+    afterValue();
     return *this;
 }
 
@@ -121,7 +214,7 @@ JsonWriter &
 JsonWriter::beginArray()
 {
     beforeValue(false);
-    out_ << '[';
+    buf_ += '[';
     stack_.push_back({'[', true});
     return *this;
 }
@@ -133,27 +226,22 @@ JsonWriter::endArray()
             "endArray without a matching beginArray");
     const bool empty = stack_.back().first;
     stack_.pop_back();
-    if (!empty && indent_ > 0) {
-        out_ << '\n'
-             << std::string(stack_.size() *
-                                static_cast<std::size_t>(indent_),
-                            ' ');
-    }
-    out_ << ']';
-    if (stack_.empty())
-        done_ = true;
+    if (!empty && indent_ > 0)
+        newline();
+    buf_ += ']';
+    afterValue();
     return *this;
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     fatalIf(stack_.empty() || stack_.back().kind != '{',
             "JSON key outside any object");
     beforeValue(true);
-    out_ << '"' << escape(name) << "\":";
-    if (indent_ > 0)
-        out_ << ' ';
+    buf_ += '"';
+    appendEscaped(buf_, name);
+    buf_ += indent_ > 0 ? "\": " : "\":";
     keyPending_ = true;
     return *this;
 }
@@ -164,35 +252,35 @@ JsonWriter::value(double v)
     if (!std::isfinite(v))
         return null();
     beforeValue(false);
-    out_ << formatDouble(v);
-    if (stack_.empty())
-        done_ = true;
+    char buf[kDoubleChars];
+    buf_.append(buf, renderDouble(buf, v));
+    afterValue();
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &s)
+JsonWriter::value(std::string_view s)
 {
     beforeValue(false);
-    out_ << '"' << escape(s) << '"';
-    if (stack_.empty())
-        done_ = true;
+    buf_ += '"';
+    appendEscaped(buf_, s);
+    buf_ += '"';
+    afterValue();
     return *this;
 }
 
 JsonWriter &
 JsonWriter::value(const char *s)
 {
-    return value(std::string(s));
+    return value(std::string_view{s});
 }
 
 JsonWriter &
 JsonWriter::value(bool b)
 {
     beforeValue(false);
-    out_ << (b ? "true" : "false");
-    if (stack_.empty())
-        done_ = true;
+    buf_ += b ? "true" : "false";
+    afterValue();
     return *this;
 }
 
@@ -206,9 +294,9 @@ JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
     beforeValue(false);
-    out_ << std::to_string(v);
-    if (stack_.empty())
-        done_ = true;
+    char buf[24];
+    buf_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    afterValue();
     return *this;
 }
 
@@ -216,9 +304,9 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     beforeValue(false);
-    out_ << std::to_string(v);
-    if (stack_.empty())
-        done_ = true;
+    char buf[24];
+    buf_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    afterValue();
     return *this;
 }
 
@@ -226,9 +314,8 @@ JsonWriter &
 JsonWriter::null()
 {
     beforeValue(false);
-    out_ << "null";
-    if (stack_.empty())
-        done_ = true;
+    buf_ += "null";
+    afterValue();
     return *this;
 }
 
@@ -712,45 +799,11 @@ parseJson(std::string_view text, const std::string &source)
 }
 
 std::string
-JsonWriter::escape(const std::string &s)
+JsonWriter::escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\b':
-            out += "\\b";
-            break;
-        case '\f':
-            out += "\\f";
-            break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
+    appendEscaped(out, s);
     return out;
 }
 

@@ -6,7 +6,8 @@
  * JsonWriter is a streaming writer with explicit begin/end scopes so
  * the results file is produced in one deterministic pass - no DOM, no
  * allocation-ordering surprises, byte-identical output for identical
- * inputs regardless of how the values were computed.
+ * inputs regardless of how the values were computed. It builds each
+ * document in one string and hands it to the stream in one write.
  *
  * parseJson is the matching reader: a strict RFC-8259 recursive-descent
  * parser producing a JsonValue tree. Every value remembers its source
@@ -39,11 +40,22 @@ namespace cryo
  * does), independent of the process locale. Non-finite values render
  * as "nan" / "inf" / "-inf"; callers that need strict JSON must handle
  * those before formatting (JsonWriter does).
+ *
+ * The shortest round-trip digit count d picks the rung: d <= 15 means
+ * %.15g round-trips (a decimal of at most 15 digits survives the trip
+ * through a double), d = 17 means neither 15 nor 16 digits can, and
+ * only d = 16 needs the parse-back check.
  */
 std::string formatDouble(double value);
 
 /**
  * Streaming JSON writer.
+ *
+ * The writer appends every token to one string and writes it to the
+ * stream when the root value closes, so a caller may read the stream
+ * right after the last end call. A writer destroyed before then (an
+ * exception mid-document) writes what it has; a finished document
+ * gets a trailing newline at destruction.
  *
  * Usage:
  * @code
@@ -65,7 +77,10 @@ class JsonWriter
     /** @param indent spaces per nesting level (0 = compact). */
     explicit JsonWriter(std::ostream &out, int indent = 2);
 
-    /** Every scope must be closed before the writer is destroyed. */
+    /**
+     * Writes an unfinished document as far as it got; every scope
+     * should be closed before the writer is destroyed.
+     */
     ~JsonWriter();
 
     JsonWriter(const JsonWriter &) = delete;
@@ -77,11 +92,11 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Member name inside an object; must precede exactly one value. */
-    JsonWriter &key(const std::string &name);
+    JsonWriter &key(std::string_view name);
 
     JsonWriter &value(double v);
-    JsonWriter &value(const std::string &s);
-    JsonWriter &value(const char *s);
+    JsonWriter &value(std::string_view s);
+    JsonWriter &value(const char *s); ///< not bool: a literal is text
     JsonWriter &value(bool b);
     JsonWriter &value(int v);
     JsonWriter &value(std::int64_t v);
@@ -89,12 +104,15 @@ class JsonWriter
     JsonWriter &null();
 
     /** Escape @p s per RFC 8259 (quotes not included). */
-    static std::string escape(const std::string &s);
+    static std::string escape(std::string_view s);
 
   private:
     /** Emit separators/indent before a value or key. */
     void beforeValue(bool is_key);
-    void raw(const std::string &text);
+    /** A newline and the indent of the open scopes (indent > 0). */
+    void newline();
+    /** After a value: a closed root value goes to the stream. */
+    void afterValue();
 
     struct Scope
     {
@@ -103,6 +121,7 @@ class JsonWriter
     };
 
     std::ostream &out_;
+    std::string buf_; ///< the document, not yet written to out_
     int indent_;
     std::vector<Scope> stack_;
     bool keyPending_ = false;

@@ -34,6 +34,7 @@
 #include "svc/server.hh"
 #include "util/diag.hh"
 #include "util/failpoint.hh"
+#include "util/hash.hh"
 #include "util/json.hh"
 #include "util/socket.hh"
 
@@ -472,6 +473,63 @@ TEST_F(SweepChaos, QuarantinedRecordsSurfaceInSweepStats)
     EXPECT_EQ(stats.quarantined, 1u);
     EXPECT_EQ(stats.cacheHits, spec.pointCount());
     EXPECT_EQ(stats.evaluated, 0u);
+    scrub(path);
+}
+
+TEST_F(SweepChaos, IncompleteMetricsRecordIsQuarantinedAndReevaluated)
+{
+    // A record whose framing and CRC are intact but whose metrics
+    // object lacks most metrics (a record from before a metric was
+    // added looks like this) must not load as a hit with perf = 0:
+    // it is quarantined and its point evaluates again.
+    const dse::SweepSpec spec =
+        dse::SweepSpec::fromJson(parseJson(kSweepJson, "<spec>"));
+    const dse::PointEvaluator eval;
+    const std::string path = "/tmp/cryowire_chaos_sweep_partial.jsonl";
+    scrub(path);
+
+    dse::SweepOptions opts;
+    opts.cachePath = path;
+    std::ostringstream cold;
+    dse::runSweep(spec, eval, cold, opts);
+
+    const std::string hash = spec.point(0).hashHex();
+    const std::string payload =
+        R"({"hash":")" + hash +
+        R"(","metrics":{"freqGhz":6.5,"converged":true}})";
+    const std::string partial = "v2 " + std::to_string(payload.size()) +
+                                " " + crcHex(Crc32c::of(payload)) + " " +
+                                payload;
+    {
+        std::istringstream in{readFile(path)};
+        std::ofstream out{path, std::ios::trunc};
+        std::string line;
+        while (std::getline(in, line))
+            out << (line.find(hash) == std::string::npos ? line : partial)
+                << '\n';
+    }
+    {
+        dse::ResultCache cache{path};
+        EXPECT_EQ(cache.quarantinedEntries(), 1u);
+        dse::PointMetrics out;
+        EXPECT_FALSE(cache.lookup(hash, &out));
+    }
+    EXPECT_NE(readFile(dse::ResultCache::quarantinePath(path)).find(partial),
+              std::string::npos);
+
+    // The load above rewrote the file without the record; put it back
+    // so the sweep itself meets it.
+    {
+        std::ofstream out{path, std::ios::app};
+        out << partial << '\n';
+    }
+    dse::SweepStats stats;
+    std::ostringstream warm;
+    dse::runSweep(spec, eval, warm, opts, &stats);
+    EXPECT_EQ(warm.str(), cold.str());
+    EXPECT_EQ(stats.quarantined, 1u);
+    EXPECT_EQ(stats.evaluated, 1u);
+    EXPECT_EQ(stats.cacheHits, spec.pointCount() - 1);
     scrub(path);
 }
 

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "design_equality.hh"
 #include "pipeline/core_config.hh"
 #include "tech/technology.hh"
+#include "util/diag.hh"
 #include "util/units.hh"
 
 namespace
@@ -129,6 +135,70 @@ TEST_F(CoreConfigTest, VoltagePointsAreLeakageFeasibleAt77K)
                 << c.name;
         }
     }
+}
+
+TEST(CoreDesignerMemo, RacingFirstCallsMatchASerialDesigner)
+{
+    // Four threads race the first cryoSP() and baseline300() calls on
+    // one fresh designer, half of them asking for each design first.
+    // Every thread must get exactly what a serial designer builds;
+    // under the TSAN preset this is the memo's race check.
+    const Technology tech = Technology::freePdk45();
+    const CoreDesigner serial{tech};
+    const CoreConfig wantSp = serial.cryoSP();
+    const CoreConfig wantBase = serial.baseline300();
+
+    constexpr int kThreads = 4;
+    const CoreDesigner shared{tech};
+    std::vector<CoreConfig> sp(kThreads);
+    std::vector<CoreConfig> base(kThreads);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            arrived.fetch_add(1);
+            while (arrived.load() < kThreads)
+                std::this_thread::yield();
+            const auto i = static_cast<std::size_t>(t);
+            if (t % 2 == 0) {
+                sp[i] = shared.cryoSP();
+                base[i] = shared.baseline300();
+            } else {
+                base[i] = shared.baseline300();
+                sp[i] = shared.cryoSP();
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t i = 0; i < sp.size(); ++i) {
+        const std::string who = "thread " + std::to_string(i);
+        cryo::test::expectSameCore(sp[i], wantSp, who + ", cryoSP");
+        cryo::test::expectSameCore(base[i], wantBase,
+                                   who + ", baseline300");
+    }
+
+    // A copy starts with its own memos and builds the same designs.
+    const CoreDesigner copy = shared;
+    cryo::test::expectSameCore(copy.cryoSP(), wantSp, "copy, cryoSP");
+    cryo::test::expectSameCore(copy.baseline300(), wantBase,
+                               "copy, baseline300");
+}
+
+TEST(CoreDesignerMemo, AFailedBuildThrowsOnEveryCall)
+{
+    // A device whose DIBL makes the CryoSP point leak more than the
+    // 300 K baseline: the feasibility check throws, nothing is kept,
+    // and the next call throws again instead of returning a design.
+    cryo::tech::MosfetParams leaky;
+    leaky.dibl = 0.45;
+    const Technology tech = Technology::freePdk45(leaky);
+    ASSERT_FALSE(tech.mosfet().voltageScalingFeasible(
+        Kelvin{77.0}, cryo::tech::VoltagePoint{0.64, 0.25}));
+    const CoreDesigner designer{tech};
+    EXPECT_THROW(designer.cryoSP(), cryo::FatalError);
+    EXPECT_THROW(designer.cryoSP(), cryo::FatalError);
+    EXPECT_NO_THROW(designer.baseline300());
 }
 
 } // namespace

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,8 +23,11 @@
 #include "dse/result_cache.hh"
 #include "dse/sweep_runner.hh"
 #include "dse/sweep_spec.hh"
+#include "pipeline/core_config.hh"
+#include "tech/technology.hh"
 #include "util/diag.hh"
 #include "util/hash.hh"
+#include "util/parallel.hh"
 
 namespace
 {
@@ -72,6 +79,67 @@ TEST(Fnv1a, LengthPrefixPreventsConcatenationCollisions)
     ab_c.str("ab").str("c");
     a_bc.str("a").str("bc");
     EXPECT_NE(ab_c.digest(), a_bc.digest());
+}
+
+TEST(Crc32c, PinnedReferenceVectors)
+{
+    // The check value of the CRC-32C catalogue and the RFC 3720
+    // (iSCSI) B.4 vectors. Every cache record on disk carries this
+    // CRC, so a drift here quarantines every record.
+    EXPECT_EQ(Crc32c::of("123456789"), 0xe3069283u);
+    const std::string zeros(32, '\x00');
+    const std::string ones(32, '\xff');
+    std::string up(32, '\0');
+    std::string down(32, '\0');
+    for (std::size_t i = 0; i < 32; ++i) {
+        up[i] = static_cast<char>(i);
+        down[i] = static_cast<char>(31 - i);
+    }
+    EXPECT_EQ(Crc32c::of(zeros), 0x8a9136aau);
+    EXPECT_EQ(Crc32c::of(ones), 0x62a8ab43u);
+    EXPECT_EQ(Crc32c::of(up), 0x46dd794eu);
+    EXPECT_EQ(Crc32c::of(down), 0x113fdb5cu);
+    EXPECT_EQ(Crc32c::of(""), 0x00000000u);
+    EXPECT_EQ(crcHex(0xe3069283u), "e3069283");
+    EXPECT_EQ(crcHex(0x0000000fu), "0000000f");
+}
+
+TEST(Crc32c, SlicingMatchesTheBytewiseLoop)
+{
+    // The textbook one-byte-per-step CRC-32C, the reference for the
+    // eight-bytes-per-step bytes(): any length, any start alignment,
+    // and any split into streamed pieces must agree with it.
+    const auto bytewise = [](const std::uint8_t *p, std::size_t n) {
+        std::uint32_t crc = 0xffffffffu;
+        for (std::size_t i = 0; i < n; ++i) {
+            crc ^= p[i];
+            for (int k = 0; k < 8; ++k)
+                crc = (crc & 1u) != 0 ? 0x82f63b78u ^ (crc >> 1)
+                                      : crc >> 1;
+        }
+        return ~crc;
+    };
+    std::mt19937_64 gen{3720};
+    std::vector<std::uint8_t> data(1100);
+    for (std::uint8_t &b : data)
+        b = static_cast<std::uint8_t>(gen());
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::size_t offset = gen() % 16;
+        const std::size_t len =
+            trial < 64 ? static_cast<std::size_t>(trial) : gen() % 1024;
+        const std::uint8_t *p = data.data() + offset;
+        const std::uint32_t want = bytewise(p, len);
+
+        Crc32c whole;
+        whole.bytes(p, len);
+        EXPECT_EQ(whole.digest(), want) << offset << "+" << len;
+
+        const std::size_t cut = len == 0 ? 0 : gen() % (len + 1);
+        Crc32c split;
+        split.bytes(p, cut).bytes(p + cut, len - cut);
+        EXPECT_EQ(split.digest(), want)
+            << offset << "+" << len << " cut at " << cut;
+    }
 }
 
 TEST(DesignPointHash, PinnedVectors)
@@ -488,8 +556,199 @@ TEST(SweepRunner, MergeRejectsGapsAndDuplicates)
     std::remove(b.c_str());
 }
 
+/** Every metric of @p m as bits, in canonical order. */
+std::vector<std::uint64_t>
+metricBits(const PointMetrics &m)
+{
+    return {std::bit_cast<std::uint64_t>(m.perf),
+            std::bit_cast<std::uint64_t>(m.freqGhz),
+            std::bit_cast<std::uint64_t>(m.devicePower),
+            std::bit_cast<std::uint64_t>(m.coolingPower),
+            std::bit_cast<std::uint64_t>(m.totalPower),
+            std::bit_cast<std::uint64_t>(m.perfPerWatt),
+            std::bit_cast<std::uint64_t>(m.utilization),
+            std::bit_cast<std::uint64_t>(m.saturatedShare),
+            m.converged ? 1u : 0u};
+}
+
+/** @p members wrapped into a JSON object. */
+std::string
+metricsJson(const std::string &members)
+{
+    return "{" + members + "}";
+}
+
+constexpr const char *kAllMetrics =
+    R"("perf":1.5,"freqGhz":6.5,"devicePower":0.25,)"
+    R"("coolingPower":2,"totalPower":2.25,"perfPerWatt":0.5,)"
+    R"("utilization":0.125,"saturatedShare":0,"converged":true)";
+
+TEST(PointMetricsJson, RequiresEveryMetricExactlyOnce)
+{
+    const PointMetrics m =
+        PointMetrics::fromJson(parseJson(metricsJson(kAllMetrics)));
+    EXPECT_EQ(m.perf, 1.5);
+    EXPECT_EQ(m.totalPower, 2.25);
+    EXPECT_TRUE(m.converged);
+
+    const auto expectRejected = [](const std::string &text,
+                                   const std::string &why) {
+        try {
+            PointMetrics::fromJson(parseJson(text));
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const FatalError &e) {
+            EXPECT_NE(e.message().find(why), std::string::npos)
+                << e.message();
+        }
+    };
+    // A record missing metrics must not read them as 0.
+    expectRejected(R"({"freqGhz":6.5,"converged":true})",
+                   "missing metric \"perf\"");
+    expectRejected("{}", "missing metric \"perf\"");
+    expectRejected(metricsJson(R"("perf":1,)" + std::string{kAllMetrics}),
+                   "duplicate metric \"perf\"");
+    expectRejected(
+        metricsJson(std::string{kAllMetrics} + R"(,"converged":false)"),
+        "duplicate metric \"converged\"");
+    expectRejected(metricsJson(std::string{kAllMetrics} + R"(,"ipc":1)"),
+                   "unknown metric \"ipc\"");
+}
+
+TEST(SweepRunner, ReadResultsRejectsAnIncompleteRecordCitingItsLine)
+{
+    const SweepSpec spec =
+        SweepSpec::fromJson(parseJson(kSpecJson, "<spec>"));
+    const PointEvaluator eval;
+    SweepOptions opts;
+    opts.jobs = 1;
+    const std::string full = runToString(spec, eval, opts);
+    {
+        std::istringstream in{full};
+        EXPECT_EQ(readResults(in, "full.jsonl").size(),
+                  spec.pointCount());
+    }
+
+    // Line 2 loses every metric but two.
+    std::istringstream lines{full};
+    std::string first, second, text;
+    std::getline(lines, first);
+    std::getline(lines, second);
+    const std::size_t at = second.find("\"metrics\":");
+    ASSERT_NE(at, std::string::npos);
+    text = first + "\n" + second.substr(0, at) +
+           R"("metrics":{"freqGhz":6.5,"converged":true}})" + "\n";
+    std::istringstream in{text};
+    try {
+        readResults(in, "cut.jsonl");
+        ADD_FAILURE() << "an incomplete record was read";
+    } catch (const FatalError &e) {
+        EXPECT_NE(e.message().find("cut.jsonl:2: missing metric"),
+                  std::string::npos)
+            << e.message();
+    }
+}
+
 /* ------------------------------------------------------------------ */
 /* Evaluation sanity + Pareto                                          */
+
+TEST(PointEvaluator, MixedFamiliesMatchAFreshEvaluatorPerPoint)
+{
+    // One evaluator memoizes a Technology and a SystemBuilder (with
+    // its CryoSP and 300 K baseline cores) per family: technology
+    // axes x core count x floorplan scale. Points of many families,
+    // interleaved and evaluated concurrently, must each get exactly
+    // the bits a fresh evaluator computes for that point alone.
+    std::vector<DesignPoint> grid;
+    const std::array<const char *, 3> workloads = {"canneal", "x264",
+                                                   ""};
+    std::size_t w = 0;
+    for (const double node : {45.0, 22.0, 14.0})
+        for (const double scale : {0.85, 1.3})
+            for (const int cores : {16, 64})
+                for (const double t : {77.0, 150.25, 300.0}) {
+                    DesignPoint p;
+                    p.nodeNm = node;
+                    p.floorplanScale = scale;
+                    p.cores = cores;
+                    p.tempK = t;
+                    p.workload = workloads[w++ % workloads.size()];
+                    grid.push_back(p);
+                }
+    for (const char *design : {"chp-mesh77", "baseline300-mesh"})
+        for (const double node : {45.0, 14.0}) {
+            DesignPoint p;
+            p.design = design;
+            p.nodeNm = node;
+            p.floorplanScale = 1.3;
+            p.cores = 16;
+            p.workload = "canneal";
+            grid.push_back(p);
+        }
+    DesignPoint overridden;
+    overridden.tempK = 120.5;
+    overridden.vdd = 0.9;
+    overridden.vth = 0.3;
+    overridden.workload = "x264";
+    grid.push_back(overridden);
+
+    // Interleave: consecutive points come from different families.
+    std::vector<DesignPoint> points;
+    constexpr std::size_t kStride = 7;
+    for (std::size_t start = 0; start < kStride; ++start)
+        for (std::size_t i = start; i < grid.size(); i += kStride)
+            points.push_back(grid[i]);
+    ASSERT_EQ(points.size(), grid.size());
+
+    std::vector<std::vector<std::uint64_t>> want;
+    for (const DesignPoint &p : points)
+        want.push_back(metricBits(PointEvaluator{}.evaluate(p)));
+
+    for (const int jobs : {1, 4}) {
+        const PointEvaluator shared;
+        const auto got = parallelMap(
+            points.size(),
+            [&](std::size_t i) {
+                return metricBits(shared.evaluate(points[i]));
+            },
+            ParallelOptions{jobs, 1});
+        for (std::size_t i = 0; i < points.size(); ++i)
+            EXPECT_EQ(got[i], want[i])
+                << "jobs " << jobs << ", point " << i << " "
+                << points[i].hashHex();
+    }
+}
+
+TEST(PointEvaluator, ChpFeasibilityHoldsOnEveryTechnologyAxis)
+{
+    // SystemBuilder::atTemperature no longer builds the 77 K CHP core,
+    // whose leakage-feasibility check used to run on every
+    // temperature-axis point. A DesignPoint sets only the node, the
+    // wire width and alpha of the technology, and leakage reads none
+    // of them: the check passes everywhere, so no point turns from an
+    // error into a value.
+    const tech::VoltagePoint chp{0.75, 0.25};
+    const units::Kelvin cold{77.0};
+    const double reference =
+        tech::Mosfet{}.leakageFactor(cold, chp);
+    ASSERT_LE(reference, 1.0);
+    for (const double node : {5.0, 14.0, 22.0, 45.0, 90.0})
+        for (const bool thick : {false, true})
+            for (const double alpha :
+                 {unsetField(), 0.05, 0.673, 1.0, 1.999}) {
+                DesignPoint p;
+                p.nodeNm = node;
+                p.thickWire = thick;
+                p.mosfetAlpha = alpha;
+                p.validate();
+                const auto tech = makeTechnology(p);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              tech->mosfet().leakageFactor(cold, chp)),
+                          std::bit_cast<std::uint64_t>(reference))
+                    << p.hashHex();
+                EXPECT_NO_THROW(pipeline::CoreDesigner{*tech}.chpCore())
+                    << p.hashHex();
+            }
+}
 
 TEST(PointEvaluator, BaselineNormalizesToUnity)
 {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/evaluation.hh"
 #include "core/system_builder.hh"
@@ -15,6 +16,8 @@
 #include "pipeline/superpipeline.hh"
 #include "sys/workload.hh"
 #include "util/diag.hh"
+
+#include "design_equality.hh"
 
 namespace
 {
@@ -381,6 +384,52 @@ TEST(FloorplanScaling, ShorterForwardingWiresGainLessFromCooling)
         m_half.frequency(p_half.result, cryo::constants::ln2Temp).value();
     EXPECT_LT(f_half, f_full);
     EXPECT_GT(f_half, 0.95 * f_full); // a few percent, not a collapse
+}
+
+/**
+ * atTemperature as it was composed before it built only what it
+ * returns: the whole 77 K CryoSP + CryoBus system (CHP core, 77 K
+ * mesh and memory included), then the temperature overrides.
+ */
+SystemDesign
+composedAtTemperature(const SystemBuilder &builder, double temp_k)
+{
+    SystemDesign d = builder.cryoSpCryoBus77();
+    d.name = "CryoSP+CryoBus @" + std::to_string(
+        static_cast<int>(temp_k)) + "K";
+    const double f = (300.0 - temp_k) / (300.0 - 77.0);
+    cryo::tech::VoltagePoint v{1.25 + f * (0.64 - 1.25),
+                               0.47 + f * (0.25 - 0.47)};
+    d.core.tempK = temp_k;
+    d.core.voltage = v;
+    d.core.frequency =
+        builder.cores()
+            .model()
+            .frequency(d.core.stages, cryo::units::Kelvin{temp_k}, v)
+            .value();
+    d.noc = builder.nocs().cryoBusAt(temp_k);
+    d.mem = cryo::mem::MemTiming::atTemperature(temp_k);
+    return d;
+}
+
+TEST(TemperatureSweep, AtTemperatureMatchesTheFullComposition)
+{
+    // One builder serves every temperature, so its CryoSP memo is
+    // filled by the first call and read by the rest; each reference
+    // comes from a fresh builder that designs everything anew.
+    const Technology tech = Technology::freePdk45();
+    for (const double scale : {1.0, 0.85}) {
+        const auto floorplan =
+            cryo::pipeline::Floorplan::skylakeLike().scaled(scale);
+        const SystemBuilder builder{tech, 64, floorplan};
+        for (const double t : {77.0, 120.5, 188.5, 250.0, 300.0}) {
+            const SystemBuilder fresh{tech, 64, floorplan};
+            cryo::test::expectSameSystem(
+                builder.atTemperature(t), composedAtTemperature(fresh, t),
+                "floorplan x" + std::to_string(scale) + " @ " +
+                    std::to_string(t) + " K");
+        }
+    }
 }
 
 } // namespace

@@ -16,7 +16,9 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/cli.hh"
@@ -577,6 +579,19 @@ TEST(JsonTest, FormatDoubleMatchesPrintfReference)
         values.push_back(std::nextafter(p, 0.0));
         values.push_back(std::nextafter(p, inf));
     }
+    // Powers of two and their neighbours, subnormal to the top
+    // binade. At a binade boundary the rounding interval is narrower
+    // below the value than above it, so the shortest digits can be 16
+    // while the nearest 16-digit rendering does not read back: the
+    // case formatDouble's parse-back check exists for.
+    for (int k = -1074; k <= 1023; ++k) {
+        const double p = std::ldexp(1.0, k);
+        for (const double v :
+             {p, std::nextafter(p, 0.0), std::nextafter(p, inf)}) {
+            values.push_back(v);
+            values.push_back(-v);
+        }
+    }
     // Values that need at most 15, 16 and 17 digits: a random double
     // read back from its %.(d-1)e text holds at most d digits.
     for (const int digits : {15, 16, 17}) {
@@ -666,6 +681,125 @@ TEST(Json, NestedStructure)
     EXPECT_EQ(os.str(),
               "{\"name\":\"cryo\",\"list\":[1,{\"ok\":true}],"
               "\"none\":null}");
+}
+
+/** One document exercising every token kind, escapes and nesting. */
+void
+writeSampleDocument(JsonWriter &w)
+{
+    w.beginObject();
+    w.key("name").value("fig\"27\"\n");
+    w.key("seed").value(std::uint64_t{18446744073709551615ull});
+    w.key("delta").value(std::int64_t{-42});
+    w.key("cores").value(64);
+    w.key("tempK").value(77.5);
+    w.key("third").value(1.0 / 3.0);
+    w.key("bad").value(std::numeric_limits<double>::infinity());
+    w.key("ok").value(true);
+    w.key("none").null();
+    w.key("empty").beginObject().endObject();
+    w.key("list").beginArray();
+    w.value(std::string{"a\tb\x01"});
+    w.beginArray().endArray();
+    w.beginObject().key("x").value(0.1).endObject();
+    w.endArray();
+    w.endObject();
+}
+
+/** writeSampleDocument's bytes at indent 0 and 2, as the writer
+ * streamed them token by token before it kept one buffer. */
+const char *const kSampleCompact =
+    R"({"name":"fig\"27\"\n","seed":18446744073709551615,"delta":-42,)"
+    R"("cores":64,"tempK":77.5,"third":0.3333333333333333,"bad":null,)"
+    R"("ok":true,"none":null,"empty":{},)"
+    R"("list":["a\tb\u0001",[],{"x":0.1}]})";
+const char *const kSampleIndented = R"({
+  "name": "fig\"27\"\n",
+  "seed": 18446744073709551615,
+  "delta": -42,
+  "cores": 64,
+  "tempK": 77.5,
+  "third": 0.3333333333333333,
+  "bad": null,
+  "ok": true,
+  "none": null,
+  "empty": {},
+  "list": [
+    "a\tb\u0001",
+    [],
+    {
+      "x": 0.1
+    }
+  ]
+})";
+
+TEST(Json, WriterBytesAreStable)
+{
+    // Each document reaches the stream when its root closes, and the
+    // destructor adds the newline that ends it.
+    for (const auto &[indent, want] :
+         {std::pair{0, kSampleCompact}, std::pair{2, kSampleIndented}}) {
+        std::ostringstream os;
+        {
+            JsonWriter w{os, indent};
+            writeSampleDocument(w);
+            EXPECT_EQ(os.str(), want) << "indent " << indent;
+        }
+        EXPECT_EQ(os.str(), std::string{want} + "\n")
+            << "indent " << indent;
+    }
+
+    // Two documents back to back on one stream, after content the
+    // stream already held.
+    std::ostringstream os;
+    os << "prefix:";
+    {
+        JsonWriter w{os, 0};
+        writeSampleDocument(w);
+    }
+    {
+        JsonWriter w{os, 2};
+        writeSampleDocument(w);
+    }
+    os << "suffix";
+    EXPECT_EQ(os.str(), std::string{"prefix:"} + kSampleCompact + "\n" +
+                            kSampleIndented + "\nsuffix");
+
+    // A root scalar is a document too.
+    std::ostringstream scalar;
+    {
+        JsonWriter w{scalar};
+        w.value(1.5);
+    }
+    EXPECT_EQ(scalar.str(), "1.5\n");
+}
+
+TEST(Json, UnfinishedDocumentReachesTheStream)
+{
+    // A writer unwound by an exception mid-document still hands over
+    // what it wrote, with no trailing newline.
+    std::ostringstream os;
+    try {
+        JsonWriter w{os, 2};
+        w.beginObject();
+        w.key("a").value(1);
+        w.key("b").beginArray();
+        w.value(2.5);
+        throw std::runtime_error("mid-document");
+    } catch (const std::runtime_error &) {
+    }
+    EXPECT_EQ(os.str(), "{\n  \"a\": 1,\n  \"b\": [\n    2.5");
+
+    // A misuse that throws keeps the bytes written before it.
+    std::ostringstream misused;
+    try {
+        JsonWriter w{misused, 0};
+        w.beginObject();
+        w.key("x");
+        w.key("y");
+    } catch (const FatalError &) {
+    }
+    EXPECT_EQ(misused.str(), "{\"x\":");
 }
 
 TEST(Json, MisuseIsFatal)
