@@ -14,7 +14,9 @@ CachedEvaluator::CachedEvaluator(const PointEvaluator &evaluator,
 CachedEvaluator::Outcome
 CachedEvaluator::evaluate(const DesignPoint &point) const
 {
-    const std::string hash = point.hashHex();
+    Outcome out;
+    out.hash = point.hashHex();
+    const std::string &hash = out.hash;
 
     std::shared_ptr<Inflight> entry;
     bool leader = false;
@@ -25,10 +27,9 @@ CachedEvaluator::evaluate(const DesignPoint &point) const
         // leader's store-then-retire (below) is ordered before this
         // lookup - a point can never be both "not cached" and "not
         // in flight" while its evaluation has completed.
-        if (cache_ != nullptr) {
-            PointMetrics m;
-            if (cache_->lookup(hash, &m))
-                return Outcome{.metrics = m, .cacheHit = true};
+        if (cache_ != nullptr && cache_->lookup(hash, &out.metrics)) {
+            out.cacheHit = true;
+            return out;
         }
 
         // Tier 2: join an identical evaluation already running.
@@ -50,11 +51,12 @@ CachedEvaluator::evaluate(const DesignPoint &point) const
         entry->cv.wait(lock, [&entry] { return entry->done; });
         if (entry->error)
             std::rethrow_exception(entry->error);
-        return Outcome{.metrics = entry->metrics, .deduped = true};
+        out.metrics = entry->metrics;
+        out.deduped = true;
+        return out;
     }
 
     // Tier 3: we are the leader - run the real evaluation.
-    Outcome out;
     std::exception_ptr error;
     try {
         out.metrics = evaluator_.evaluate(point);

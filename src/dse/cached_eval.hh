@@ -53,6 +53,9 @@ class CachedEvaluator
     {
         PointMetrics metrics;
 
+        /** The point's hashHex(), the key every tier looked up. */
+        std::string hash;
+
         /** Answered from ResultCache without evaluating. */
         bool cacheHit = false;
 

@@ -71,6 +71,15 @@ struct FieldDef
     int DesignPoint::*integer = nullptr;
     std::uint64_t DesignPoint::*wide = nullptr;
     std::string DesignPoint::*text = nullptr;
+
+    /**
+     * The window of a number field that does not depend on the other
+     * fields (null: none), and what validate() reports for a value
+     * outside it. setField checks it too, citing the value's position,
+     * so a sweep spec fails at load, not at the point that uses it.
+     */
+    bool (*inWindow)(double) = nullptr;
+    const char *window = nullptr;
 };
 
 using K = FieldDef::Kind;
@@ -81,13 +90,20 @@ const std::array<FieldDef, 13> kFields = {{
     {.name = "tempK", .kind = K::OptNumber, .num = &DesignPoint::tempK},
     {.name = "vdd", .kind = K::OptNumber, .num = &DesignPoint::vdd},
     {.name = "vth", .kind = K::OptNumber, .num = &DesignPoint::vth},
-    {.name = "nodeNm", .kind = K::Number, .num = &DesignPoint::nodeNm},
+    {.name = "nodeNm", .kind = K::Number, .num = &DesignPoint::nodeNm,
+     .inWindow = [](double v) { return v >= 5.0 && v <= 90.0; },
+     .window = "nodeNm must lie in the 5-90 nm scaling window"},
     {.name = "thickWire", .kind = K::Boolean,
      .flag = &DesignPoint::thickWire},
+    // Inside MosfetParams' [0, 2): at 2 every evaluation would fail.
     {.name = "mosfetAlpha", .kind = K::OptNumber,
-     .num = &DesignPoint::mosfetAlpha},
+     .num = &DesignPoint::mosfetAlpha,
+     .inWindow = [](double v) { return v > 0.0 && v < 2.0; },
+     .window = "mosfetAlpha must lie in (0, 2)"},
     {.name = "floorplanScale", .kind = K::Number,
-     .num = &DesignPoint::floorplanScale},
+     .num = &DesignPoint::floorplanScale,
+     .inWindow = [](double v) { return v > 0.0 && v <= 4.0; },
+     .window = "floorplanScale must lie in (0, 4]"},
     {.name = "cores", .kind = K::Integer,
      .integer = &DesignPoint::cores},
     {.name = "busWays", .kind = K::Integer,
@@ -151,12 +167,15 @@ DesignPoint::setField(const std::string &name, const JsonValue &value)
                               ")");
     switch (f->kind) {
     case K::Number:
-        this->*(f->num) = value.asNumber();
+    case K::OptNumber: {
+        const double v = f->kind == K::OptNumber && value.isNull()
+                             ? unsetField()
+                             : value.asNumber();
+        if (fieldIsSet(v) && f->inWindow != nullptr && !f->inWindow(v))
+            fieldError(value, f->window);
+        this->*(f->num) = v;
         break;
-    case K::OptNumber:
-        this->*(f->num) =
-            value.isNull() ? unsetField() : value.asNumber();
-        break;
+    }
     case K::Boolean:
         this->*(f->flag) = value.asBool();
         break;
@@ -293,13 +312,13 @@ DesignPoint::validate() const
         v.require(vth > 0.0 && vth < vdd, "need 0 < vth < vdd");
     }
 
-    v.require(nodeNm >= 5.0 && nodeNm <= 90.0,
-              "nodeNm must lie in the 5-90 nm scaling window");
-    if (fieldIsSet(mosfetAlpha))
-        v.require(mosfetAlpha > 0.0 && mosfetAlpha <= 2.0,
-                  "mosfetAlpha must lie in (0, 2]");
-    v.require(floorplanScale > 0.0 && floorplanScale <= 4.0,
-              "floorplanScale must lie in (0, 4]");
+    for (const FieldDef &f : kFields) {
+        if (f.inWindow == nullptr)
+            continue;
+        const double x = this->*(f.num);
+        if (f.kind == K::Number || fieldIsSet(x))
+            v.require(f.inWindow(x), f.window);
+    }
     v.atLeast("cores", cores, 2).atLeast("busWays", busWays, 1);
     if (busWays > 1)
         v.require(design == "cryosp-cryobus77",

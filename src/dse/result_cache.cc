@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "util/diag.hh"
@@ -38,11 +39,12 @@ writeFull(int fd, const char *data, std::size_t n)
 
 /** Parse one JSON payload; returns false (no throw) on damage. */
 bool
-parsePayload(const std::string &line, std::string *hash,
+parsePayload(std::string_view payload, std::string *hash,
              PointMetrics *metrics)
 {
+    static const std::string kSource = "<cache line>";
     try {
-        const JsonValue v = parseJson(line, "<cache line>");
+        const JsonValue v = parseJson(payload, kSource);
         const JsonValue *h = v.find("hash");
         const JsonValue *m = v.find("metrics");
         if (h == nullptr || m == nullptr)
@@ -57,13 +59,14 @@ parsePayload(const std::string &line, std::string *hash,
 
 /**
  * Strip and verify v2 framing: "v2 <len> <crc8hex> <payload>".
- * False when the frame is malformed, the length disagrees (torn
- * append), or the CRC does not match (corruption).
+ * *payload views the payload bytes inside @p line. False when the
+ * frame is malformed, the length disagrees (torn append), or the CRC
+ * does not match (corruption).
  */
 bool
-unframe(const std::string &line, std::string *payload)
+unframe(std::string_view line, std::string_view *payload)
 {
-    if (line.size() < 3 || line.compare(0, 3, "v2 ") != 0)
+    if (!line.starts_with("v2 "))
         return false;
     std::size_t pos = 3;
     std::uint64_t len = 0;
@@ -78,9 +81,8 @@ unframe(const std::string &line, std::string *payload)
     ++pos;
     if (pos + 9 > line.size() || line[pos + 8] != ' ')
         return false;
-    const std::string crc = line.substr(pos, 8);
-    pos += 9;
-    *payload = line.substr(pos);
+    const std::string_view crc = line.substr(pos, 8);
+    *payload = line.substr(pos + 9);
     if (payload->size() != len)
         return false;
     return crcHex(Crc32c::of(*payload)) == crc;
@@ -129,7 +131,7 @@ ResultCache::quarantinePath(const std::string &path)
 }
 
 void
-ResultCache::quarantine(const std::string &line)
+ResultCache::quarantine(std::string_view line)
 {
     ++quarantined_;
     const std::string sidecar = quarantinePath(path_);
@@ -138,7 +140,8 @@ ResultCache::quarantine(const std::string &line)
                            0644);
     if (qfd < 0)
         return; // counted and warned about regardless
-    const std::string out = line + "\n";
+    std::string out{line};
+    out += '\n';
     writeFull(qfd, out.data(), out.size());
     ::close(qfd);
 }
@@ -154,7 +157,7 @@ ResultCache::loadExisting()
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        std::string payload;
+        std::string_view payload;
         std::string hash;
         PointMetrics m;
         if (unframe(line, &payload)) {

@@ -43,6 +43,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "dse/point_eval.hh"
 
@@ -149,7 +150,7 @@ class ResultCache
 
   private:
     void loadExisting();
-    void quarantine(const std::string &line);
+    void quarantine(std::string_view line);
     /** Append one framed record, newline included. */
     bool appendLocked(const std::string &record);
     void compactLocked();

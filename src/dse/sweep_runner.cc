@@ -5,27 +5,41 @@
 #include <fstream>
 #include <istream>
 #include <sstream>
+#include <string_view>
 
 #include "util/diag.hh"
+#include "util/hash.hh"
 #include "util/parallel.hh"
 
 namespace cryo::dse
 {
 
+namespace
+{
+
+/** formatResultLine for a point whose @p hash is already known. */
 std::string
-formatResultLine(const EvaluatedPoint &p)
+resultLine(const EvaluatedPoint &p, std::string_view hash)
 {
     std::ostringstream line;
     JsonWriter w{line, /*indent=*/0};
     w.beginObject();
     w.key("i").value(static_cast<std::uint64_t>(p.index));
-    w.key("hash").value(p.point.hashHex());
+    w.key("hash").value(hash);
     w.key("point");
     p.point.writeJson(w);
     w.key("metrics");
     p.metrics.writeJson(w);
     w.endObject();
     return line.str();
+}
+
+} // namespace
+
+std::string
+formatResultLine(const EvaluatedPoint &p)
+{
+    return resultLine(p, p.point.hashHex());
 }
 
 std::vector<EvaluatedPoint>
@@ -53,6 +67,8 @@ runSweep(const SweepSpec &spec, const PointEvaluator &evaluator,
                           : CacheDurability::kWritePerStore};
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> evaluated{0};
+    // Each worker keeps its point's digest for the result line.
+    std::vector<std::uint64_t> digests(mine.size());
 
     auto results = parallelMap(
         mine.size(),
@@ -60,7 +76,8 @@ runSweep(const SweepSpec &spec, const PointEvaluator &evaluator,
             EvaluatedPoint ep;
             ep.index = mine[k];
             ep.point = spec.point(ep.index);
-            const std::string hash = ep.point.hashHex();
+            digests[k] = ep.point.hash();
+            const std::string hash = hashHex(digests[k]);
             if (cache.lookup(hash, &ep.metrics)) {
                 hits.fetch_add(1, std::memory_order_relaxed);
             } else {
@@ -72,8 +89,8 @@ runSweep(const SweepSpec &spec, const PointEvaluator &evaluator,
         },
         ParallelOptions{options.jobs, 0});
 
-    for (const EvaluatedPoint &ep : results)
-        out << formatResultLine(ep) << '\n';
+    for (std::size_t k = 0; k < results.size(); ++k)
+        out << resultLine(results[k], hashHex(digests[k])) << '\n';
 
     if (stats != nullptr) {
         stats->totalPoints = total;

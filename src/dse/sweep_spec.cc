@@ -132,7 +132,12 @@ SweepSpec::load(const std::string &path)
     std::ostringstream text;
     text << in.rdbuf();
     fatalIf(in.bad(), "I/O error reading sweep spec \"" + path + "\"");
-    return fromJson(parseJson(text.str(), path));
+    const JsonValue root = parseJson(text.str(), path);
+    try {
+        return fromJson(root);
+    } catch (const FatalError &e) {
+        fatal(path + ": " + e.message());
+    }
 }
 
 std::size_t

@@ -57,12 +57,15 @@ class SweepSpec
      * Parse a spec from a JSON document. Unknown top-level keys,
      * unknown axis fields, empty axes, and malformed ranges throw
      * cryo::FatalError citing the offending value's position. Every
-     * axis value is dry-run through DesignPoint::setField so a typo
-     * fails at load, not mid-sweep.
+     * axis value is dry-run through DesignPoint::setField so a typo or
+     * a value outside its field's window fails at load, not mid-sweep.
      */
     static SweepSpec fromJson(const JsonValue &root);
 
-    /** Read and parse @p path; I/O failure is fatal. */
+    /**
+     * Read and parse @p path. I/O failure is fatal, and so is anything
+     * fromJson rejects, with @p path in front of its message.
+     */
     static SweepSpec load(const std::string &path);
 
     const std::string &name() const { return name_; }

@@ -384,9 +384,9 @@ Server::submitEval(Pending p)
             const dse::CachedEvaluator::Outcome out =
                 eval_.evaluate(p.req.point);
             stats_.onEvalOutcome(out.cacheHit, out.deduped);
-            reply = formatOkEval(p.req, p.req.point.hashHex(),
-                                 out.cacheHit, out.deduped,
-                                 out.metrics, nowUs() - p.startUs);
+            reply = formatOkEval(p.req, out.hash, out.cacheHit,
+                                 out.deduped, out.metrics,
+                                 nowUs() - p.startUs);
             status = "ok";
         } catch (const FatalError &err) {
             reply =

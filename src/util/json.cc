@@ -1,10 +1,10 @@
 #include "json.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <system_error>
 
 #include "diag.hh"
@@ -466,10 +466,72 @@ JsonValue::at(const std::string &key) const
 
 // -- parser ---------------------------------------------------------
 
+namespace
+{
+
+bool
+isDigit(char ch)
+{
+    return ch >= '0' && ch <= '9';
+}
+
+/** A string byte copied as is: no quote, backslash or control byte. */
+bool
+isPlain(char ch)
+{
+    return ch != '"' && ch != '\\' && static_cast<unsigned char>(ch) >= 0x20;
+}
+
 /**
- * Recursive-descent RFC-8259 parser. One instance per document;
- * tracks (line, column) as it consumes so every error and every
- * parsed value carries its source position.
+ * What strtod reads from a grammatical number @p token that
+ * from_chars found out of range: the signed infinity when the
+ * magnitude is at least 1 (overflow), else the signed zero
+ * (underflow). Worked out from the digits, not by strtod, which reads
+ * the locale's decimal point.
+ */
+double
+outOfRange(std::string_view token)
+{
+    const bool negative = token.front() == '-';
+    const std::size_t e = std::min(token.find_first_of("eE"), token.size());
+    const std::string_view mantissa =
+        token.substr(negative ? 1 : 0, e - (negative ? 1 : 0));
+    // Decimal exponent of the first nonzero digit. JSON allows no
+    // leading zeros, so a nonzero integer part starts with it;
+    // otherwise it follows the fraction's zeros (an all-zero mantissa
+    // reads as zero, never out of range).
+    std::int64_t lead = 0;
+    if (mantissa[0] != '0')
+        lead = static_cast<std::int64_t>(
+                   std::min(mantissa.find('.'), mantissa.size())) -
+               1;
+    else // "0.", then zeros
+        lead = 1 - static_cast<std::int64_t>(
+                       mantissa.find_first_not_of('0', 2));
+    std::int64_t exponent = 0;
+    if (e < token.size()) {
+        const char *first = token.data() + e + 1;
+        first += *first == '+' ? 1 : 0;
+        // An exponent beyond int64 decides the magnitude alone.
+        constexpr std::int64_t kHuge = std::int64_t{1} << 62;
+        if (std::from_chars(first, token.data() + token.size(), exponent)
+                .ec != std::errc{})
+            exponent = *first == '-' ? -kHuge : kHuge;
+    }
+    const double magnitude = lead + exponent >= 0
+                                 ? std::numeric_limits<double>::infinity()
+                                 : 0.0;
+    return negative ? -magnitude : magnitude;
+}
+
+} // namespace
+
+/**
+ * Recursive-descent RFC-8259 parser. One instance per document. It
+ * keeps the line number and the offset where that line starts; a
+ * column is worked out only when a value or an error records it, so
+ * the scan itself touches each byte once. Every parsed value carries
+ * its source position.
  */
 class JsonParser
 {
@@ -481,7 +543,8 @@ class JsonParser
 
     JsonValue parse()
     {
-        JsonValue root = parseValue(0);
+        JsonValue root;
+        parseValue(root, 0);
         skipWhitespace();
         if (pos_ != text_.size())
             error("trailing garbage after the JSON document");
@@ -491,13 +554,21 @@ class JsonParser
   private:
     static constexpr int kMaxDepth = 200; ///< nesting guard
 
+    /** 1-based column of pos_: bytes since the line started, plus 1. */
+    int column() const { return static_cast<int>(pos_ - lineStart_) + 1; }
+
     [[noreturn]] void error(const std::string &what) const
     {
         fatal(source_ + ":" + std::to_string(line_) + ":" +
-              std::to_string(col_) + ": " + what);
+              std::to_string(column()) + ": " + what);
     }
 
     bool atEnd() const { return pos_ >= text_.size(); }
+
+    /** True when the next byte is @p want (false at the end). */
+    bool next(char want) const { return !atEnd() && text_[pos_] == want; }
+
+    bool nextIsDigit() const { return !atEnd() && isDigit(text_[pos_]); }
 
     char peek() const
     {
@@ -512,49 +583,55 @@ class JsonParser
         ++pos_;
         if (ch == '\n') {
             ++line_;
-            col_ = 1;
-        } else {
-            ++col_;
+            lineStart_ = pos_;
         }
         return ch;
     }
 
     void expect(char want, const char *context)
     {
-        if (atEnd() || peek() != want)
+        if (!next(want))
             error(std::string("expected '") + want + "' " + context);
         advance();
     }
 
     void skipWhitespace()
     {
-        while (!atEnd()) {
+        for (; !atEnd(); ++pos_) {
             const char ch = text_[pos_];
-            if (ch != ' ' && ch != '\t' && ch != '\n' && ch != '\r')
+            if (ch == '\n') {
+                ++line_;
+                lineStart_ = pos_ + 1;
+            } else if (ch != ' ' && ch != '\t' && ch != '\r') {
                 break;
-            advance();
+            }
         }
+    }
+
+    void skipDigits()
+    {
+        while (nextIsDigit())
+            ++pos_;
     }
 
     /** Consume a fixed keyword (true/false/null). */
     void literal(const char *word)
     {
         for (const char *p = word; *p != '\0'; ++p) {
-            if (atEnd() || peek() != *p)
+            if (!next(*p))
                 error(std::string("invalid literal (expected '") +
                       word + "')");
-            advance();
+            ++pos_;
         }
     }
 
-    JsonValue parseValue(int depth)
+    void parseValue(JsonValue &v, int depth)
     {
         if (depth > kMaxDepth)
             error("nesting deeper than 200 levels");
         skipWhitespace();
-        JsonValue v;
         v.line_ = line_;
-        v.column_ = col_;
+        v.column_ = column();
         const char ch = peek();
         switch (ch) {
         case '{':
@@ -565,7 +642,7 @@ class JsonParser
             break;
         case '"':
             v.kind_ = JsonValue::Kind::String;
-            v.string_ = parseString();
+            parseString(v.string_);
             break;
         case 't':
             literal("true");
@@ -582,41 +659,41 @@ class JsonParser
             v.kind_ = JsonValue::Kind::Null;
             break;
         default:
-            if (ch == '-' || (ch >= '0' && ch <= '9')) {
+            if (ch == '-' || isDigit(ch)) {
                 v.kind_ = JsonValue::Kind::Number;
                 v.number_ = parseNumber();
             } else {
                 error(std::string("unexpected character '") + ch + "'");
             }
         }
-        return v;
     }
 
+    /** Members and items are parsed in place, at the vector's end. */
     void parseObject(JsonValue &v, int depth)
     {
         v.kind_ = JsonValue::Kind::Object;
         expect('{', "to open an object");
         skipWhitespace();
-        if (!atEnd() && peek() == '}') {
+        if (next('}')) {
             advance();
             return;
         }
         for (;;) {
             skipWhitespace();
-            if (atEnd() || peek() != '"')
+            if (!next('"'))
                 error("expected a quoted member name");
-            std::string key = parseString();
+            JsonValue::Member &member = v.members_.emplace_back();
+            parseString(member.first);
             skipWhitespace();
             expect(':', "after the member name");
-            v.members_.emplace_back(std::move(key),
-                                    parseValue(depth + 1));
+            parseValue(member.second, depth + 1);
             skipWhitespace();
-            const char next = peek();
-            if (next == ',') {
+            const char sep = peek();
+            if (sep == ',') {
                 advance();
                 continue;
             }
-            if (next == '}') {
+            if (sep == '}') {
                 advance();
                 return;
             }
@@ -629,19 +706,19 @@ class JsonParser
         v.kind_ = JsonValue::Kind::Array;
         expect('[', "to open an array");
         skipWhitespace();
-        if (!atEnd() && peek() == ']') {
+        if (next(']')) {
             advance();
             return;
         }
         for (;;) {
-            v.items_.push_back(parseValue(depth + 1));
+            parseValue(v.items_.emplace_back(), depth + 1);
             skipWhitespace();
-            const char next = peek();
-            if (next == ',') {
+            const char sep = peek();
+            if (sep == ',') {
                 advance();
                 continue;
             }
-            if (next == ']') {
+            if (sep == ']') {
                 advance();
                 return;
             }
@@ -649,21 +726,21 @@ class JsonParser
         }
     }
 
-    std::string parseString()
+    /** Append the string at pos_ to @p out: plain runs in one go. */
+    void parseString(std::string &out)
     {
         expect('"', "to open a string");
-        std::string out;
         for (;;) {
+            const std::size_t run = pos_;
+            while (!atEnd() && isPlain(text_[pos_]))
+                ++pos_;
+            out.append(text_.data() + run, pos_ - run);
             const char ch = advance();
             if (ch == '"')
-                return out;
+                return;
             if (static_cast<unsigned char>(ch) < 0x20)
                 error("unescaped control character in a string");
-            if (ch != '\\') {
-                out += ch;
-                continue;
-            }
-            const char esc = advance();
+            const char esc = advance(); // ch is the backslash
             switch (esc) {
             case '"':
                 out += '"';
@@ -751,44 +828,51 @@ class JsonParser
         }
     }
 
+    /**
+     * Check the number grammar, then read the token in place with
+     * from_chars, which rounds as strtod does without reading the
+     * locale. Out of range, from_chars leaves the value alone; strtod
+     * would give the signed infinity or zero, and so does outOfRange.
+     */
     double parseNumber()
     {
         const std::size_t start = pos_;
-        if (!atEnd() && peek() == '-')
-            advance();
-        if (atEnd() || peek() < '0' || peek() > '9')
+        if (next('-'))
+            ++pos_;
+        if (!nextIsDigit())
             error("invalid number");
-        if (peek() == '0') {
-            advance(); // leading zero: no further integer digits
-        } else {
-            while (!atEnd() && peek() >= '0' && peek() <= '9')
-                advance();
-        }
-        if (!atEnd() && peek() == '.') {
-            advance();
-            if (atEnd() || peek() < '0' || peek() > '9')
+        if (next('0'))
+            ++pos_; // leading zero: no further integer digits
+        else
+            skipDigits();
+        if (next('.')) {
+            ++pos_;
+            if (!nextIsDigit())
                 error("digit required after the decimal point");
-            while (!atEnd() && peek() >= '0' && peek() <= '9')
-                advance();
+            skipDigits();
         }
-        if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
-            advance();
-            if (!atEnd() && (peek() == '+' || peek() == '-'))
-                advance();
-            if (atEnd() || peek() < '0' || peek() > '9')
+        if (next('e') || next('E')) {
+            ++pos_;
+            if (next('+') || next('-'))
+                ++pos_;
+            if (!nextIsDigit())
                 error("digit required in the exponent");
-            while (!atEnd() && peek() >= '0' && peek() <= '9')
-                advance();
+            skipDigits();
         }
-        const std::string token{text_.substr(start, pos_ - start)};
-        return std::strtod(token.c_str(), nullptr);
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        double value = 0.0;
+        const std::from_chars_result r = std::from_chars(first, last, value);
+        if (r.ec == std::errc::result_out_of_range)
+            return outOfRange({first, pos_ - start});
+        return value;
     }
 
     std::string_view text_;
-    std::string source_;
+    const std::string &source_;
     std::size_t pos_ = 0;
     int line_ = 1;
-    int col_ = 1;
+    std::size_t lineStart_ = 0; ///< offset of the current line's first byte
 };
 
 JsonValue

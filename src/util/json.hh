@@ -15,7 +15,14 @@
  * cryo::FatalError citing that position, so a bad sweep spec names the
  * offending token instead of failing somewhere downstream. Object
  * members keep their source order (sweep-spec axis order is
- * significant).
+ * significant). The reader makes one pass: it copies each run of
+ * plain string bytes whole, reads each number in place, and works out
+ * a column only where a value or an error records it.
+ *
+ * Numbers are read with std::from_chars and written with
+ * std::to_chars, so both directions are locale-free. A number beyond
+ * the double range reads as strtod reads it: the signed infinity, or
+ * the signed zero below the smallest subnormal.
  *
  * JSON has no NaN or infinity literals; value(double) emits null for
  * non-finite inputs (the schema documents this).

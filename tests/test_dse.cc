@@ -9,6 +9,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -370,6 +371,57 @@ TEST(SweepSpec, DiagnosesBadSpecsAtLoadTime)
     EXPECT_THROW(
         parse(R"({"axes": [{"field": "cores", "values": [2.5]}]})"),
         FatalError);
+}
+
+TEST(SweepSpec, MosfetAlphaTwoFailsAtLoadCitingItsPosition)
+{
+    // MosfetParams takes alpha in [0, 2), so a point with alpha 2
+    // could only fail at evaluation. Wherever the spec sets it (an
+    // axis value, the base, an explicit point), load rejects it,
+    // naming the file, line and column of the value.
+    struct Case
+    {
+        const char *spec;
+        const char *position;
+    };
+    const Case cases[] = {
+        {"{\n  \"axes\": [\n"
+         "    { \"field\": \"mosfetAlpha\", \"values\": [1.3, 2] }\n"
+         "  ]\n}\n",
+         "line 3, column 47"},
+        {"{\n  \"base\": { \"mosfetAlpha\": 2.0 }\n}\n",
+         "line 2, column 28"},
+        {"{\n  \"points\": [ { \"design\": \"chp-mesh77\" },\n"
+         "              { \"mosfetAlpha\": 2 } ]\n}\n",
+         "line 3, column 32"},
+    };
+    const std::string path = "t_alpha_two_spec.json";
+    for (const Case &c : cases) {
+        {
+            std::ofstream out{path};
+            out << c.spec;
+        }
+        try {
+            SweepSpec::load(path);
+            ADD_FAILURE() << "no error for:\n" << c.spec;
+        } catch (const FatalError &e) {
+            const std::string msg = e.message();
+            EXPECT_EQ(msg.rfind(path + ": ", 0), 0u) << msg;
+            EXPECT_NE(msg.find(c.position), std::string::npos) << msg;
+            EXPECT_NE(msg.find("mosfetAlpha must lie in (0, 2)"),
+                      std::string::npos)
+                << msg;
+        }
+    }
+    std::remove(path.c_str());
+
+    // Just below 2 is a valid point, and validate() holds the same
+    // window for a point built in code.
+    DesignPoint p;
+    p.mosfetAlpha = std::nextafter(2.0, 0.0);
+    EXPECT_NO_THROW(p.validate());
+    p.mosfetAlpha = 2.0;
+    EXPECT_THROW(p.validate(), FatalError);
 }
 
 TEST(SweepSpec, PointsOnlySpecSkipsTheBaseGrid)

@@ -733,6 +733,34 @@ TEST(SvcSession, PingEvalErrorsAndClientShutdown)
     EXPECT_EQ(c.cacheHits, 1u);
 }
 
+TEST(SvcSession, MosfetAlphaTwoIsATypedErrorBeforeEvaluation)
+{
+    // MosfetParams takes alpha in [0, 2). A point with alpha 2 is
+    // refused while the request is parsed, citing the value's
+    // position, rather than failing in the evaluator.
+    ServerConfig cfg;
+    cfg.socketPath = "t_svc_alpha.sock";
+    Server server{cfg};
+    server.start();
+    {
+        Client client{cfg.socketPath};
+        client.send("{\"id\":\"a2\",\"op\":\"eval\",\"point\":"
+                    "{\"workload\":\"streamcluster\",\"mosfetAlpha\":2}}");
+        const Reply r = client.read();
+        EXPECT_EQ(r.status + " " + r.id, "error a2");
+        EXPECT_NE(r.message.find("column 74"), std::string::npos)
+            << r.message;
+        EXPECT_NE(r.message.find("mosfetAlpha must lie in (0, 2)"),
+                  std::string::npos)
+            << r.message;
+    }
+    server.stop();
+    const SvcCounters c = server.serverStats().counters();
+    EXPECT_EQ(c.errors, 1u);
+    EXPECT_EQ(c.failed, 0u);
+    EXPECT_EQ(c.evaluated, 0u);
+}
+
 /* ------------------------------------------------------------------ */
 /* Fault injection.                                                   */
 /* ------------------------------------------------------------------ */

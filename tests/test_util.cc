@@ -14,10 +14,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -890,6 +892,216 @@ TEST(JsonParse, PositionIsExact)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(JsonParse, PositionsAreExactAfterStringsEscapesAndLineBreaks)
+{
+    // Each input is malformed after something the parser skips in
+    // bulk: long plain strings, escapes, \u surrogate pairs, CRLF and
+    // runs of blank lines. The messages were recorded from the
+    // byte-at-a-time parser; columns count bytes, '\r' included, and
+    // a control byte is reported just past itself.
+    const std::string run(300, 'x');
+    const std::vector<std::pair<std::string, std::string>> table = {
+        {"{\"a\": \"" + run + "\", }",
+         "bad.json:1:311: expected a quoted member name"},
+        {"{\"a\": \"" + run + "\" \"b\": 1}",
+         "bad.json:1:310: expected ',' or '}' in an object"},
+        {"{\"" + run + "\" 1}",
+         "bad.json:1:305: expected ':' after the member name"},
+        {"[\"a\\\"b\\\\c\\/d\\n\\t\", tru]",
+         "bad.json:1:23: invalid literal (expected 'true')"},
+        {"[\"\\ud83d\\ude00\\u00e9\", 01]",
+         "bad.json:1:25: expected ',' or ']' in an array"},
+        {"[\"\\u00e9\\u00e9\\u00e9\" 2]",
+         "bad.json:1:23: expected ',' or ']' in an array"},
+        {"[\"\\ud83d\\ude00\" \"\\ud83d\"]",
+         "bad.json:1:17: expected ',' or ']' in an array"},
+        {"[\"tab\\tand\\u0041\\u00e9\\ud83d\\ude00\", nul]",
+         "bad.json:1:41: invalid literal (expected 'null')"},
+        {"{\r\n  \"a\": 1,\r\n  \"b\": x\r\n}",
+         "bad.json:3:8: unexpected character 'x'"},
+        {"\n\n   \t  [1,\n\n  2,, 3]",
+         "bad.json:5:5: unexpected character ','"},
+        {"{\"k\"\n:\n1\n,\n\"k2\"\n:\n}",
+         "bad.json:7:1: unexpected character '}'"},
+        {"\r\r\r\n\r{\"a\":[1,2,3,]}",
+         "bad.json:2:14: unexpected character ']'"},
+        {"{}\r\n\r\n  x",
+         "bad.json:3:3: trailing garbage after the JSON document"},
+        {"\"\xc3\xa9\" x",
+         "bad.json:1:6: trailing garbage after the JSON document"},
+        {"\"abc\tdef\"",
+         "bad.json:1:6: unescaped control character in a string"},
+        {"[\"ab\ncd\"]",
+         "bad.json:2:1: unescaped control character in a string"},
+        {"\"" + std::string(100, 'y') + "\\q\"",
+         "bad.json:1:104: invalid escape '\\q'"},
+        {"\"\\u12G4\"", "bad.json:1:7: invalid \\u escape (need 4 hex "
+                        "digits)"},
+        {"\"\\udc00\"", "bad.json:1:8: unpaired UTF-16 surrogate"},
+        {"\"\\ud83dx\"", "bad.json:1:8: unpaired UTF-16 surrogate"},
+        {"\"\\ud83d\\u0041\"", "bad.json:1:14: invalid low surrogate"},
+        {"\"abc\\n", "bad.json:1:7: unexpected end of input"},
+        {"[-]", "bad.json:1:3: invalid number"},
+        {"-", "bad.json:1:2: invalid number"},
+        {"[1.e5]", "bad.json:1:4: digit required after the decimal point"},
+        {"[1e+]", "bad.json:1:5: digit required in the exponent"},
+        {"[trux]", "bad.json:1:5: invalid literal (expected 'true')"},
+        {std::string(202, '[') + std::string(202, ']'),
+         "bad.json:1:202: nesting deeper than 200 levels"},
+    };
+    for (const auto &[text, want] : table) {
+        try {
+            parseJson(text, "bad.json");
+            ADD_FAILURE() << "must throw for: " << text;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(e.message(), want) << text;
+        }
+    }
+}
+
+/** Byte offset of "<source>:<line>:<column>:" in @p text, or npos. */
+std::size_t
+errorOffset(const std::string &message, const std::string &source,
+            std::string_view text)
+{
+    int line = 0;
+    int column = 0;
+    if (message.rfind(source + ":", 0) != 0 ||
+        std::sscanf(message.c_str() + source.size() + 1, "%d:%d", &line,
+                    &column) != 2 ||
+        line < 1 || column < 1)
+        return std::string_view::npos;
+    std::size_t start = 0;
+    for (int l = 1; l < line; ++l) {
+        start = text.find('\n', start);
+        if (start == std::string_view::npos)
+            return std::string_view::npos;
+        ++start;
+    }
+    const std::size_t end = std::min(text.find('\n', start), text.size());
+    const std::size_t offset = start + static_cast<std::size_t>(column - 1);
+    return offset <= end ? offset : std::string_view::npos;
+}
+
+TEST(JsonParse, EveryProperPrefixThrowsInsideTheText)
+{
+    // A cache payload, a request line and a multi-line spec with
+    // escapes, CRLF and every number form. Each is an object, so no
+    // proper prefix is a document; the error must cite a position
+    // within the prefix (its end at most). Run under ASan, this is
+    // also the bulk scans' check for reads past the end.
+    const std::vector<std::string> docs = {
+        "{\"hash\":\"0f3a9c2e4b5d6e7f\",\"metrics\":{\"perf\":"
+        "1.2345678901234567,\"freqGhz\":6.5,\"devicePower\":0.123,"
+        "\"coolingPower\":1.5e-3,\"totalPower\":0.1245,\"perfPerWatt\":"
+        "9.91,\"utilization\":0.25,\"saturatedShare\":0,\"converged\":"
+        "true}}",
+        "{\"id\":\"r12\",\"op\":\"eval\",\"point\":{\"design\":"
+        "\"cryosp-cryobus77\",\"tempK\":150,\"vdd\":null,\"seed\":7},"
+        "\"metrics\":[\"perf\",\"totalPower\"],\"deadline_ms\":250}",
+        "{\r\n  \"name\": \"fig27 \\\"temperature\\\" sweep\\n\",\n"
+        "  \"base\": { \"design\": \"cryosp-cryobus77\",\n"
+        "            \"workload\": \"caf\\u00e9 \\ud83d\\ude00\\/\" },\n"
+        "\n\t\"axes\": [\r\n"
+        "    { \"field\": \"tempK\",\n"
+        "      \"range\": { \"from\": 77, \"to\": 3.0e2, \"steps\": 5 } },\n"
+        "    { \"field\": \"vdd\", \"values\": [-0, 1E-3, 0.9e+0, false] }\n"
+        "  ]\n"
+        "}",
+    };
+    for (const std::string &doc : docs) {
+        ASSERT_NO_THROW(parseJson(doc, "doc.json")) << doc;
+        for (std::size_t n = 0; n < doc.size(); ++n) {
+            // An exact-size copy, so a read past the prefix is a read
+            // past the allocation.
+            const std::unique_ptr<char[]> copy =
+                std::make_unique<char[]>(n);
+            std::copy_n(doc.data(), n, copy.get());
+            const std::string_view prefix{copy.get(), n};
+            try {
+                parseJson(prefix, "prefix.json");
+                ADD_FAILURE() << "no error for the " << n
+                              << "-byte prefix of " << doc;
+            } catch (const FatalError &e) {
+                EXPECT_LE(errorOffset(e.message(), "prefix.json", prefix),
+                          n)
+                    << e.message() << " for the " << n
+                    << "-byte prefix of " << doc;
+            }
+        }
+    }
+}
+
+TEST(JsonParse, NumbersMatchStrtodBitForBit)
+{
+    // The test-only reference: what the parser read before it used
+    // from_chars.
+    const auto strtodBits = [](const std::string &text) {
+        return std::bit_cast<std::uint64_t>(
+            std::strtod(text.c_str(), nullptr));
+    };
+    std::vector<std::string> corpus = {
+        "0", "-0", "-0.0", "0e5", "-0E-5", "1e308",
+        "1.7976931348623157e308", "1.7976931348623158e308",
+        "1.7976931348623159e308", "1e309", "-1e309", "1e999",
+        "4.9e-324", "-4.9e-324", "2.5e-324", "2.4e-324", "1e-400",
+        "-1e-400", "0.0001e-320", "0.00000000000000000001e330",
+        "100000000000000000000e-350", "1e-99999999999999999999",
+        "1e+99999999999999999999", "-0.5e-99999999999999999999",
+        "2.2250738585072011e-308", "2.2250738585072014e-308",
+        "1.5E+10", "12345678901234567890123456789012345678901234567890",
+        "0.1000000000000000055511151231257827021181583404541015625",
+        "9007199254740993", "-9007199254740993", "18446744073709551616",
+        // Out of range only once the mantissa's digits are counted.
+        "1" + std::string(400, '0') + "e-50",
+        "1" + std::string(400, '0') + "e-750",
+        "0." + std::string(400, '0') + "1e70",
+        "-0." + std::string(400, '0') + "1e750",
+    };
+    std::mt19937_64 gen{20261019};
+    const auto randomFinite = [&gen] {
+        for (;;) {
+            const double v = std::bit_cast<double>(gen());
+            if (std::isfinite(v))
+                return v;
+        }
+    };
+    const auto render = [](const char *format, double v) {
+        char text[40];
+        std::snprintf(text, sizeof text, format, v);
+        return std::string(text);
+    };
+    // Random finite bit patterns: every exponent and sign.
+    for (int i = 0; i < 100'000; ++i) {
+        const double v = randomFinite();
+        corpus.push_back(render("%.17g", v));
+        corpus.push_back(render("%.15g", v));
+    }
+    // Subnormals: a zero exponent field under a random mantissa.
+    for (int i = 0; i < 20'000; ++i) {
+        const double v =
+            std::bit_cast<double>(gen() & 0x800fffffffffffffull);
+        corpus.push_back(render("%.17g", v));
+        corpus.push_back(render("%.15g", v));
+    }
+    // Integers around 2^53, written out in full.
+    for (long long k = -2'000; k <= 2'000; ++k) {
+        corpus.push_back(std::to_string(9007199254740992LL + k));
+        corpus.push_back(std::to_string(-9007199254740992LL - k));
+    }
+
+    std::size_t mismatches = 0;
+    for (const std::string &text : corpus) {
+        const double parsed = parseJson(text, "<number>").asNumber();
+        if (std::bit_cast<std::uint64_t>(parsed) != strtodBits(text) &&
+            ++mismatches <= 10)
+            ADD_FAILURE() << text << ": parsed " << std::hexfloat
+                          << parsed << ", strtod "
+                          << std::strtod(text.c_str(), nullptr);
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(JsonParse, WrongKindAccessCitesPosition)
