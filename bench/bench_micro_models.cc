@@ -1,12 +1,12 @@
 /**
  * @file
  * Microbenchmarks of the analytic model kernels: drive delay factors,
- * distributed-RC wire delay, the repeater search, the critical-path
- * voltage sweep, and conductor resistivity, plus a full
- * interval-simulation run for scale.  Kernels with a batch entry
- * point (delay factors, the critical path, the interval suite) are
- * timed both ways.  Emits the cryowire-bench/1 JSON consumed by
- * tools/bench_gate.py.
+ * distributed-RC wire delay, the repeater search, the critical path
+ * over a voltage grid, and conductor resistivity, plus a full
+ * interval-simulation run for scale.  Each model kernel has one
+ * (scalar) implementation; only the interval suite, whose runSuite
+ * is the one batch entry point, is timed both ways.  Emits the
+ * cryowire-bench/1 JSON consumed by tools/bench_gate.py.
  */
 
 #include <vector>
@@ -68,11 +68,7 @@ main(int argc, char **argv)
                 out[i] = mosfet.delayFactor(temp, vs[i]);
             keep(out);
         });
-        const double batch = h.time(vs.size(), [&] {
-            mosfet.delayFactorBatch(temp, vs, out);
-            keep(out);
-        });
-        h.record("mosfet_delay_factor", vs.size(), scalar, batch);
+        h.record("mosfet_delay_factor", vs.size(), scalar);
     }
 
     {
@@ -118,11 +114,7 @@ main(int argc, char **argv)
                 out[i] = model.maxDelay(stages, temp, vs[i]);
             keep(out);
         });
-        const double batch = h.time(vs.size(), [&] {
-            model.maxDelayBatch(stages, temp, vs, out);
-            keep(out);
-        });
-        h.record("critical_path_max_delay", vs.size(), scalar, batch);
+        h.record("critical_path_max_delay", vs.size(), scalar);
     }
 
     {

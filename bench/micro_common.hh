@@ -17,9 +17,9 @@
  *     "unit": "ns/op",
  *     "kernels": [
  *       {"name": "wire_rc_delay", "ops": 512,
- *        "scalar_ns_op": 41.2, "batch_ns_op": 3.9, "speedup": 10.5},
- *       {"name": "interval_sim_run", "ops": 21,
- *        "scalar_ns_op": 8123.0, "batch_ns_op": null, "speedup": null}
+ *        "scalar_ns_op": 95.8, "batch_ns_op": null, "speedup": null},
+ *       {"name": "interval_sim_parsec", "ops": 13,
+ *        "scalar_ns_op": 1188.0, "batch_ns_op": 1078.0, "speedup": 1.1}
  *     ]
  *   }
  * @endcode

@@ -57,11 +57,10 @@ VoltageOptimizer::VoltageOptimizer(
 }
 
 VoltagePlanPoint
-VoltageOptimizer::evaluateWithFrequency(
-    const pipeline::CoreConfig &core,
-    const pipeline::CoreConfig &baseline, double temp_k,
-    tech::VoltagePoint v, const VoltageConstraints &constraints,
-    std::optional<double> frequency_hz) const
+VoltageOptimizer::evaluate(const pipeline::CoreConfig &core,
+                           const pipeline::CoreConfig &baseline,
+                           double temp_k, tech::VoltagePoint v,
+                           VoltageConstraints constraints) const
 {
     VoltagePlanPoint p;
     p.voltage = v;
@@ -80,24 +79,12 @@ VoltageOptimizer::evaluateWithFrequency(
     pipeline::CoreConfig candidate = core;
     candidate.tempK = temp_k;
     candidate.voltage = v;
-    candidate.frequency = frequency_hz
-        ? *frequency_hz
-        : model_.frequency(core.stages, temp, v).value();
+    candidate.frequency = model_.frequency(core.stages, temp, v).value();
     const auto power = mcpat_.corePower(candidate, baseline);
     p.frequency = CRYO_CHECK_FINITE(candidate.frequency);
     p.totalPower = CRYO_CHECK_FINITE(power.total());
     p.feasible = p.totalPower <= constraints.totalPowerBudget + 1e-9;
     return p;
-}
-
-VoltagePlanPoint
-VoltageOptimizer::evaluate(const pipeline::CoreConfig &core,
-                           const pipeline::CoreConfig &baseline,
-                           double temp_k, tech::VoltagePoint v,
-                           VoltageConstraints constraints) const
-{
-    return evaluateWithFrequency(core, baseline, temp_k, v, constraints,
-                                 std::nullopt);
 }
 
 VoltagePlanPoint
@@ -116,60 +103,29 @@ VoltageOptimizer::optimize(const pipeline::CoreConfig &core,
     const long n_vth = gridPoints(constraints.vthMin,
                                   constraints.vthMax,
                                   constraints.vthStep);
-    const auto total =
-        static_cast<std::size_t>(n_vdd) * static_cast<std::size_t>(n_vth);
-
-    // Precompute the frequency plane for every point that will reach
-    // the frequency model (margins satisfied and leakage-feasible) in
-    // one batched sweep: the critical-path kernel hoists all
-    // per-stage wire terms and drive factors once for the whole grid
-    // instead of re-deriving them per point, and its results are
-    // bit-identical to the scalar frequency().
-    const units::Kelvin temp{temp_k};
-    const auto &mosfet = tech_.mosfet();
-    constexpr std::size_t kNoFreq = static_cast<std::size_t>(-1);
-    std::vector<tech::VoltagePoint> grid(total);
-    std::vector<std::size_t> freq_slot(total, kNoFreq);
-    std::vector<tech::VoltagePoint> batch_vs;
-    batch_vs.reserve(total);
-    for (std::size_t k = 0; k < total; ++k) {
-        const auto i = static_cast<long>(k) / n_vth;
-        const auto j = static_cast<long>(k) % n_vth;
-        grid[k].vdd = constraints.minVdd +
-            static_cast<double>(i) * constraints.vddStep;
-        grid[k].vth = constraints.vthMin +
-            static_cast<double>(j) * constraints.vthStep;
-        const bool margins_ok =
-            !(grid[k].vdd < constraints.minVdd ||
-              grid[k].vdd < constraints.minVddVthRatio * grid[k].vth ||
-              grid[k].vdd <= grid[k].vth);
-        if (margins_ok && mosfet.voltageScalingFeasible(temp, grid[k])) {
-            freq_slot[k] = batch_vs.size();
-            batch_vs.push_back(grid[k]);
-        }
-    }
-    std::vector<units::Hertz> freqs(batch_vs.size());
-    if (!batch_vs.empty())
-        model_.frequencyBatch(core.stages, temp, batch_vs, freqs);
 
     // Row-major (Vdd-major) scan; only a strictly greater score
     // replaces the best, so score ties keep the first point.
     VoltagePlanPoint best;
     double best_score = -1.0;
-    for (std::size_t k = 0; k < total; ++k) {
-        const auto f = freq_slot[k] == kNoFreq
-            ? std::optional<double>{}
-            : std::optional<double>{freqs[freq_slot[k]].value()};
-        const VoltagePlanPoint p = evaluateWithFrequency(
-            core, baseline, temp_k, grid[k], constraints, f);
-        if (!p.feasible)
-            continue;
-        const double score = objective == VoltageObjective::Frequency
-            ? p.frequency
-            : p.frequency / p.totalPower;
-        if (score > best_score) {
-            best_score = score;
-            best = p;
+    for (long i = 0; i < n_vdd; ++i) {
+        for (long j = 0; j < n_vth; ++j) {
+            const tech::VoltagePoint v{
+                constraints.minVdd +
+                    static_cast<double>(i) * constraints.vddStep,
+                constraints.vthMin +
+                    static_cast<double>(j) * constraints.vthStep};
+            const VoltagePlanPoint p =
+                evaluate(core, baseline, temp_k, v, constraints);
+            if (!p.feasible)
+                continue;
+            const double score = objective == VoltageObjective::Frequency
+                ? p.frequency
+                : p.frequency / p.totalPower;
+            if (score > best_score) {
+                best_score = score;
+                best = p;
+            }
         }
     }
     return best;

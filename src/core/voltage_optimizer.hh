@@ -19,8 +19,6 @@
 #ifndef CRYOWIRE_CORE_VOLTAGE_OPTIMIZER_HH
 #define CRYOWIRE_CORE_VOLTAGE_OPTIMIZER_HH
 
-#include <optional>
-
 #include "pipeline/core_config.hh"
 #include "power/mcpat_lite.hh"
 #include "tech/technology.hh"
@@ -82,7 +80,10 @@ class VoltageOptimizer
                      const pipeline::CriticalPathModel &model);
 
     /**
-     * Best voltage point for @p core's pipeline at @p temp_k.
+     * Best voltage point for @p core's pipeline at @p temp_k: a
+     * Vdd-major scan of the grid (min + i * step, both ends included)
+     * that calls evaluate() for each point; on a score tie the first
+     * point wins.
      * @param core        structure/stage description (power model input)
      * @param baseline    the 300 K design defining power = 1.0
      * @param objective   what to maximize
@@ -103,21 +104,6 @@ class VoltageOptimizer
                               VoltageConstraints constraints = {}) const;
 
   private:
-    /**
-     * Shared evaluation body.  When @p frequency_hz is set it is used
-     * verbatim (the grid search precomputes the whole frequency plane
-     * with CriticalPathModel::frequencyBatch, which is bit-identical
-     * to the scalar frequency()); otherwise the scalar model is
-     * consulted.  Everything else - margin checks, leakage gate,
-     * power, finiteness checks - is one code path either way.
-     */
-    VoltagePlanPoint
-    evaluateWithFrequency(const pipeline::CoreConfig &core,
-                          const pipeline::CoreConfig &baseline,
-                          double temp_k, tech::VoltagePoint v,
-                          const VoltageConstraints &constraints,
-                          std::optional<double> frequency_hz) const;
-
     const tech::Technology &tech_;
     const pipeline::CriticalPathModel &model_;
     power::McpatLite mcpat_;

@@ -195,10 +195,16 @@ PointMetrics::fromJson(const JsonValue &obj)
 {
     PointMetrics out;
     std::array<bool, kMetrics.size()> seen{};
+    std::size_t position = 0;
     for (const JsonValue::Member &member : obj.members()) {
-        std::size_t k = 0;
-        while (k < kMetrics.size() && member.first != kMetrics[k].name)
-            ++k;
+        // A canonical record lists the metrics in registry order, so
+        // the member's own position is tried before the scan.
+        std::size_t k = position++;
+        if (k >= kMetrics.size() || member.first != kMetrics[k].name) {
+            k = 0;
+            while (k < kMetrics.size() && member.first != kMetrics[k].name)
+                ++k;
+        }
         if (k == kMetrics.size())
             fatal("unknown metric \"" + member.first +
                   "\" at line " + std::to_string(member.second.line()));

@@ -179,50 +179,6 @@ CriticalPathModel::maxDelay(const StageList &stages, Kelvin temp) const
     return maxDelay(stages, temp, tech_.mosfet().params().nominal);
 }
 
-void
-CriticalPathModel::maxDelayBatch(const StageList &stages, Kelvin temp,
-                                 std::span<const tech::VoltagePoint> vs,
-                                 std::span<double> out) const
-{
-    fatalIf(stages.empty(), "pipeline has no stages");
-    fatalIf(vs.size() != out.size(),
-            "maxDelayBatch: vs/out size mismatch");
-    if (vs.empty())
-        return;
-
-    // One drive-factor sweep serves every stage: the factor depends
-    // only on (T, V), not on the stage.
-    std::vector<double> df(vs.size());
-    tech_.mosfet().delayFactorBatch(temp, vs, df);
-
-    std::fill(out.begin(), out.end(), 0.0);
-    std::vector<Second> wire(vs.size());
-    for (const auto &s : stages) {
-        const double logic300 = s.logic300();
-        const double wire300 = s.wire300();
-        if (s.wireClass == WireClass::None) {
-            // wireScale(None) == 1.0; keep the multiply so the totals
-            // match the scalar path token-for-token.
-            for (std::size_t i = 0; i < vs.size(); ++i) {
-                const double total = logic300 * df[i] + wire300 * 1.0;
-                out[i] = std::max(out[i], total);
-            }
-            continue;
-        }
-        const WireSetup ws = wireSetup(s.wireClass);
-        tech::WireRC rc{tech_.wire(ws.layer), tech_.mosfet(), ws.driver,
-                        ws.load};
-        const Second ref = rc.delay(ws.length, constants::roomTemp,
-                                    tech_.mosfet().params().nominal);
-        rc.delayBatchV(ws.length, temp, vs, df, wire);
-        for (std::size_t i = 0; i < vs.size(); ++i) {
-            const double total =
-                logic300 * df[i] + wire300 * (wire[i] / ref);
-            out[i] = std::max(out[i], total);
-        }
-    }
-}
-
 std::string
 CriticalPathModel::criticalStage(const StageList &stages, Kelvin temp,
                                  const tech::VoltagePoint &v) const
@@ -252,19 +208,6 @@ Hertz
 CriticalPathModel::frequency(const StageList &stages, Kelvin temp) const
 {
     return frequency(stages, temp, tech_.mosfet().params().nominal);
-}
-
-void
-CriticalPathModel::frequencyBatch(const StageList &stages, Kelvin temp,
-                                  std::span<const tech::VoltagePoint> vs,
-                                  std::span<Hertz> out) const
-{
-    fatalIf(vs.size() != out.size(),
-            "frequencyBatch: vs/out size mismatch");
-    std::vector<double> md(vs.size());
-    maxDelayBatch(stages, temp, vs, md);
-    for (std::size_t i = 0; i < vs.size(); ++i)
-        out[i] = refFreq_ / md[i];
 }
 
 } // namespace cryo::pipeline

@@ -14,7 +14,6 @@
 #ifndef CRYOWIRE_PIPELINE_CRITICAL_PATH_HH
 #define CRYOWIRE_PIPELINE_CRITICAL_PATH_HH
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -86,18 +85,6 @@ class CriticalPathModel
 
     double maxDelay(const StageList &stages, units::Kelvin temp) const;
 
-    /**
-     * Batched maxDelay over a voltage grid at one temperature:
-     * out[i] = maxDelay(stages, temp, vs[i]) bit-for-bit.  Computes
-     * the drive delay factors once for the whole grid and hoists each
-     * wire-bearing stage's (T, L)-only wire terms and 300 K reference
-     * delay out of the per-point loop; the scalar path computes the
-     * factor and each class's wire scale once per (T, V) call.
-     */
-    void maxDelayBatch(const StageList &stages, units::Kelvin temp,
-                       std::span<const tech::VoltagePoint> vs,
-                       std::span<double> out) const;
-
     /** Name of the limiting stage. */
     std::string criticalStage(const StageList &stages, units::Kelvin temp,
                               const tech::VoltagePoint &v) const;
@@ -108,16 +95,6 @@ class CriticalPathModel
 
     units::Hertz frequency(const StageList &stages,
                            units::Kelvin temp) const;
-
-    /**
-     * Batched frequency over a voltage grid: out[i] =
-     * frequency(stages, temp, vs[i]) bit-for-bit (refFreq / batched
-     * maxDelay).  This is the inner kernel of the voltage-optimizer
-     * sweep.
-     */
-    void frequencyBatch(const StageList &stages, units::Kelvin temp,
-                        std::span<const tech::VoltagePoint> vs,
-                        std::span<units::Hertz> out) const;
 
     /**
      * Wire-delay multiplier of @p wc at (T, V) versus 300 K nominal

@@ -83,22 +83,15 @@ Mosfet::driveGain(Kelvin temp) const
 }
 
 double
-Mosfet::alpha(Kelvin temp) const
-{
-    // Temperature-independent (see MosfetParams::alpha): cooling at a
-    // fixed voltage point then speeds logic by exactly driveGain(T),
-    // which is what the paper's router model (+9.3% at 77 K) and core
-    // model (+8%) require.
-    (void)temp;
-    return params_.alpha;
-}
-
-double
-Mosfet::voltageSpeed(Kelvin temp, const VoltagePoint &v) const
+Mosfet::voltageSpeed(const VoltagePoint &v) const
 {
     // DIBL is folded into the alpha calibration for delay purposes (it
     // only appears explicitly in the leakage model); the exponent was
-    // fitted against the paper's Vdd/Vth-scaled frequency anchors.
+    // fitted against the paper's Vdd/Vth-scaled frequency anchors.  It
+    // is temperature-independent (see MosfetParams::alpha): cooling at
+    // a fixed voltage point then speeds logic by exactly driveGain(T),
+    // which is what the paper's router model (+9.3% at 77 K) and core
+    // model (+8%) require.
     const double overdrive = v.vdd - v.vth;
     if (!(std::isfinite(overdrive) && overdrive > 0.0 && v.vdd > 0.0)) {
         CRYO_CONTEXT("mosfet voltage speed");
@@ -107,38 +100,21 @@ Mosfet::voltageSpeed(Kelvin temp, const VoltagePoint &v) const
            << ", vth=" << v.vth << ")";
         fatal(os.str());
     }
-    return std::pow(overdrive, alpha(temp)) / v.vdd;
-}
-
-double
-Mosfet::delayFactor(Kelvin temp, const VoltagePoint &v, double nominal_speed,
-                    double gain) const
-{
-    return nominal_speed / (voltageSpeed(temp, v) * gain);
+    return std::pow(overdrive, params_.alpha) / v.vdd;
 }
 
 double
 Mosfet::delayFactor(Kelvin temp, const VoltagePoint &v) const
 {
-    const double nominal_speed = voltageSpeed(temp, params_.nominal);
-    return delayFactor(temp, v, nominal_speed, driveGain(temp));
+    const double nominal_speed = voltageSpeed(params_.nominal);
+    const double gain = driveGain(temp);
+    return nominal_speed / (voltageSpeed(v) * gain);
 }
 
 double
 Mosfet::delayFactor(Kelvin temp) const
 {
     return delayFactor(temp, params_.nominal);
-}
-
-void
-Mosfet::delayFactorBatch(Kelvin temp, std::span<const VoltagePoint> vs,
-                         std::span<double> out) const
-{
-    fatalIf(vs.size() != out.size(), "delayFactorBatch: vs/out size mismatch");
-    const double nominal_speed = voltageSpeed(temp, params_.nominal);
-    const double gain = driveGain(temp);
-    for (std::size_t i = 0; i < vs.size(); ++i)
-        out[i] = delayFactor(temp, vs[i], nominal_speed, gain);
 }
 
 Volt

@@ -10,19 +10,20 @@
  *    a measured-anchor curve (`driveGain`), exactly like the paper
  *    treats its model card as validated data (1.08x at 77 K, ~1.005x at
  *    the 135 K validation point).
- *  - Voltage dependence uses the alpha-power law with a
- *    temperature-dependent exponent: transport becomes strongly
- *    velocity-saturated at cryogenic temperatures, which is what lets
- *    Vdd/Vth scaling *gain* speed at 77 K (Table 3: 6.4 -> 7.84 GHz).
+ *  - Voltage dependence uses the alpha-power law with one
+ *    temperature-independent exponent, so cooling at a fixed voltage
+ *    point speeds logic by exactly driveGain(T), and a Vdd/Vth point's
+ *    speed-up over nominal is the same at every temperature (Table 3:
+ *    6.4 -> 7.84 GHz, +22.5%, for CryoSP's 0.64/0.25 V).
  *  - Subthreshold leakage follows the textbook exponential with
  *    swing n*kT/q*ln10, which collapses at 77 K and is why Vth can drop
- *    to 0.25 V there but not at 300 K.
+ *    to 0.25 V there but not at 300 K: leakage, not speed, confines
+ *    Vdd/Vth scaling to cryogenic temperatures.
  */
 
 #ifndef CRYOWIRE_TECH_MOSFET_HH
 #define CRYOWIRE_TECH_MOSFET_HH
 
-#include <span>
 #include <vector>
 
 #include "util/units.hh"
@@ -122,9 +123,6 @@ class Mosfet
      */
     double driveGain(units::Kelvin temp) const;
 
-    /** Alpha-power exponent at @p temp (linear between anchors). */
-    double alpha(units::Kelvin temp) const;
-
     /**
      * Gate-delay multiplier relative to (300 K, nominal voltage).
      * < 1 means faster. Combines the drive-gain curve with the
@@ -134,17 +132,6 @@ class Mosfet
 
     /** delayFactor at the nominal voltage point. */
     double delayFactor(units::Kelvin temp) const;
-
-    /**
-     * Batched delayFactor over a voltage grid at one temperature (the
-     * voltage optimizer's shape): out[i] = delayFactor(temp, vs[i])
-     * bit-for-bit.  The nominal-voltage alpha-power term (one of the
-     * scalar call's two pow()) and the drive-gain interpolation are
-     * computed once for the whole grid.
-     */
-    void delayFactorBatch(units::Kelvin temp,
-                          std::span<const VoltagePoint> vs,
-                          std::span<double> out) const;
 
     /**
      * Subthreshold leakage current multiplier relative to
@@ -177,15 +164,8 @@ class Mosfet
     units::Second fo4Delay(units::Kelvin temp, const VoltagePoint &v) const;
 
   private:
-    /** Alpha-power speed term (Vdd - Vth_eff)^alpha / Vdd, higher=faster. */
-    double voltageSpeed(units::Kelvin temp, const VoltagePoint &v) const;
-
-    /**
-     * delayFactor(temp, v) given its two temperature-only terms: the
-     * nominal point's voltageSpeed and driveGain(temp).
-     */
-    double delayFactor(units::Kelvin temp, const VoltagePoint &v,
-                       double nominal_speed, double gain) const;
+    /** Alpha-power speed term (Vdd - Vth)^alpha / Vdd, higher=faster. */
+    double voltageSpeed(const VoltagePoint &v) const;
 
     MosfetParams params_;
 };

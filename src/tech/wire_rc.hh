@@ -15,8 +15,6 @@
 #ifndef CRYOWIRE_TECH_WIRE_RC_HH
 #define CRYOWIRE_TECH_WIRE_RC_HH
 
-#include <span>
-
 #include "tech/mosfet.hh"
 #include "tech/wire_geometry.hh"
 #include "util/units.hh"
@@ -49,20 +47,6 @@ class WireRC
     /** Delay at the nominal voltage point. */
     units::Second delay(units::Metre length, units::Kelvin temp) const;
 
-    /**
-     * Batched delay over voltage points at one (L, T): out[i] =
-     * delay(length, temp, vs[i]) bit-for-bit, given the points'
-     * precomputed driver delay factors (from
-     * Mosfet::delayFactorBatch, which must have been called with the
-     * same @p temp and @p vs).  This is the voltage-grid sweep shape:
-     * the wire terms depend only on (L, T) and are hoisted, leaving
-     * one multiply-add chain per point.
-     */
-    void delayBatchV(units::Metre length, units::Kelvin temp,
-                     std::span<const VoltagePoint> vs,
-                     std::span<const double> delay_factors,
-                     std::span<units::Second> out) const;
-
     /** delay(L, 300 K) / delay(L, T): > 1 below room temperature. */
     double speedup(units::Metre length, units::Kelvin temp) const;
 
@@ -75,21 +59,6 @@ class WireRC
     double driverSize() const { return driverSize_; }
 
   private:
-    /** Everything in the Elmore sum but the driver: the (L, T) terms. */
-    struct Load
-    {
-        units::Farad cw; ///< wire capacitance
-        units::Ohm rw;   ///< wire resistance
-        units::Farad cl; ///< receiving gate capacitance
-        units::Farad cp; ///< driver parasitic capacitance
-
-        /** The Elmore sum through a driver of resistance @p rd. */
-        units::Second delay(units::Ohm rd) const;
-    };
-
-    /** The Load of a @p length wire at @p temp. */
-    Load load(units::Metre length, units::Kelvin temp) const;
-
     const WireSpec &spec_;
     const Mosfet &mosfet_;
     double driverSize_;

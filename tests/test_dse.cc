@@ -642,6 +642,14 @@ TEST(PointMetricsJson, RequiresEveryMetricExactlyOnce)
     EXPECT_EQ(m.perf, 1.5);
     EXPECT_EQ(m.totalPower, 2.25);
     EXPECT_TRUE(m.converged);
+    // Any order reads the same values; reversed, only totalPower sits
+    // at its registry position.
+    const PointMetrics reversed = PointMetrics::fromJson(parseJson(
+        metricsJson(R"("converged":true,"saturatedShare":0,)"
+                    R"("utilization":0.125,"perfPerWatt":0.5,)"
+                    R"("totalPower":2.25,"coolingPower":2,)"
+                    R"("devicePower":0.25,"freqGhz":6.5,"perf":1.5)")));
+    EXPECT_EQ(metricBits(reversed), metricBits(m));
 
     const auto expectRejected = [](const std::string &text,
                                    const std::string &why) {

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 #include "tech/mosfet.hh"
-#include "util/units.hh"
 #include "util/diag.hh"
+#include "util/hash.hh"
+#include "util/rng.hh"
+#include "util/units.hh"
 
 namespace
 {
@@ -141,6 +146,38 @@ TEST_F(MosfetTest, Fo4InRealisticRange)
     EXPECT_LT(m.fo4Delay(77.0_K, m.params().nominal).value(), fo4);
 }
 
+TEST_F(MosfetTest, DelayFactorDigestIsPinned)
+{
+    // The exact bits of the delay-factor kernel and the two calls built
+    // on it, in one FNV-1a digest over 7 temperatures (the model
+    // window's ends, where driveGain clamps, and ablation-voltage's
+    // 77-300 K) x 257 random margin-safe voltage points: delayFactor,
+    // driverResistance at two driver sizes, fo4Delay, and the
+    // nominal-voltage delayFactor.  Recorded before the delay factor's
+    // shared helper was folded into delayFactor(T, V); any change to
+    // its arithmetic moves the digest.
+    cryo::Rng rng{0xb17e5u};
+    VoltagePoint vs[257];
+    for (VoltagePoint &v : vs) {
+        v.vth = 0.10 + 0.35 * rng.uniform();
+        v.vdd = v.vth + 0.20 + (1.30 - v.vth - 0.20) * rng.uniform();
+    }
+    cryo::Fnv1a digest;
+    for (const double t : {4.0, 77.0, 100.0, 150.0, 200.0, 300.0, 400.0}) {
+        const Kelvin temp{t};
+        digest.f64(m.delayFactor(temp));
+        for (const VoltagePoint &v : vs)
+            digest.f64(m.delayFactor(temp, v))
+                .f64(m.driverResistance(temp, v).value())
+                .f64(m.driverResistance(temp, v, 64.0).value())
+                .f64(m.fo4Delay(temp, v).value());
+    }
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(digest.digest()));
+    EXPECT_EQ(digest.digest(), 0x68493e1d7bb9527dull) << hex;
+}
+
 TEST(MosfetParamsTest, RejectsBadNominal)
 {
     MosfetParams p;
@@ -176,10 +213,6 @@ TEST_F(MosfetTest, BoundaryClampAtModelWindowEdges)
     EXPECT_DOUBLE_EQ(m.driveGain(300.0_K), a.back().second);  // 1.000
     EXPECT_DOUBLE_EQ(m.driveGain(350.0_K), a.back().second);
     EXPECT_DOUBLE_EQ(m.driveGain(400.0_K), a.back().second);
-    // alpha is temperature-independent across the whole window.
-    EXPECT_DOUBLE_EQ(m.alpha(4.0_K), m.params().alpha);
-    EXPECT_DOUBLE_EQ(m.alpha(300.0_K), m.params().alpha);
-    EXPECT_DOUBLE_EQ(m.alpha(400.0_K), m.params().alpha);
     // delayFactor at nominal voltage is the inverse gain at the edges
     // too, so above 300 K it is exactly 1 (clamped, not > 1).
     EXPECT_NEAR(m.delayFactor(400.0_K), 1.0, 1e-12);

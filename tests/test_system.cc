@@ -300,6 +300,23 @@ TEST_F(SystemTest, PerformanceMonotoneInTemperature)
     }
 }
 
+TEST_F(SystemTest, IntervalSuiteMatchesPerWorkloadRuns)
+{
+    // runSuite derives the design's invariants once for the suite;
+    // every result must equal a per-workload run() bit for bit.
+    const auto design = builder.cryoSpCryoBus77();
+    const auto results = sim.runSuite(design, parsec);
+    ASSERT_EQ(results.size(), parsec.size());
+    for (std::size_t i = 0; i < parsec.size(); ++i) {
+        const auto scalar = sim.run(design, parsec[i]);
+        EXPECT_EQ(results[i].timePerInstr, scalar.timePerInstr) << i;
+        EXPECT_EQ(results[i].utilization, scalar.utilization) << i;
+        EXPECT_EQ(results[i].saturated, scalar.saturated) << i;
+        EXPECT_EQ(results[i].converged, scalar.converged) << i;
+        EXPECT_EQ(results[i].stack.total(), scalar.stack.total()) << i;
+    }
+}
+
 TEST(Evaluator, NormalizesToBaselineColumn)
 {
     Technology tech = Technology::freePdk45();
