@@ -9,10 +9,12 @@
 #include <sstream>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "util/diag.hh"
 #include "util/failpoint.hh"
 #include "util/hash.hh"
+#include "util/parallel.hh"
 
 namespace cryo::dse
 {
@@ -60,8 +62,9 @@ parsePayload(std::string_view payload, std::string *hash,
 /**
  * Strip and verify v2 framing: "v2 <len> <crc8hex> <payload>".
  * *payload views the payload bytes inside @p line. False when the
- * frame is malformed, the length disagrees (torn append), or the CRC
- * does not match (corruption).
+ * frame is malformed, the length is not the canonical decimal
+ * formatRecord writes (no leading zero), the length disagrees (torn
+ * append), or the CRC does not match (corruption).
  */
 bool
 unframe(std::string_view line, std::string_view *payload)
@@ -69,14 +72,18 @@ unframe(std::string_view line, std::string_view *payload)
     if (!line.starts_with("v2 "))
         return false;
     std::size_t pos = 3;
-    std::uint64_t len = 0;
-    bool anyDigit = false;
+    if (pos < line.size() && line[pos] == '0')
+        return false;
+    // A length past the line's own size can never match; stopping
+    // there also keeps the accumulator from wrapping.
+    std::size_t len = 0;
     while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-        len = len * 10 + static_cast<std::uint64_t>(line[pos] - '0');
-        anyDigit = true;
+        len = len * 10 + static_cast<std::size_t>(line[pos] - '0');
+        if (len > line.size())
+            return false;
         ++pos;
     }
-    if (!anyDigit || pos >= line.size() || line[pos] != ' ')
+    if (pos == 3 || pos >= line.size() || line[pos] != ' ')
         return false;
     ++pos;
     if (pos + 9 > line.size() || line[pos + 8] != ' ')
@@ -88,16 +95,60 @@ unframe(std::string_view line, std::string_view *payload)
     return crcHex(Crc32c::of(*payload)) == crc;
 }
 
+/** One cache line, unframed and parsed on the pool. */
+struct ParsedLine
+{
+    enum class Kind
+    {
+        kBlank,
+        kRecord, ///< a v2 record
+        kLegacy, ///< a v1 record: a bare JSON line, no framing
+        kDamaged,
+    };
+
+    Kind kind = Kind::kBlank;
+    std::string hash;
+    PointMetrics metrics;
+};
+
+void
+parseLine(std::string_view line, ParsedLine *out)
+{
+    using Kind = ParsedLine::Kind;
+    std::string_view payload;
+    if (line.empty()) {
+        out->kind = Kind::kBlank;
+    } else if (unframe(line, &payload)) {
+        const bool ok = parsePayload(payload, &out->hash, &out->metrics);
+        out->kind = ok ? Kind::kRecord : Kind::kDamaged;
+    } else if (line[0] == '{') {
+        const bool ok = parsePayload(line, &out->hash, &out->metrics);
+        out->kind = ok ? Kind::kLegacy : Kind::kDamaged;
+    } else {
+        out->kind = Kind::kDamaged;
+    }
+}
+
+/** Read up to lines.size() lines into @p lines; returns the count. */
+std::size_t
+readBlock(std::istream &in, std::vector<std::string> &lines)
+{
+    std::size_t n = 0;
+    while (n < lines.size() && std::getline(in, lines[n]))
+        ++n;
+    return n;
+}
+
 } // namespace
 
 ResultCache::ResultCache(std::string path, CacheWritability writability,
-                         CacheDurability durability)
+                         CacheDurability durability, int loadJobs)
     : path_(std::move(path)), durability_(durability)
 {
     if (path_.empty())
         return;
 
-    loadExisting();
+    loadExisting(loadJobs);
 
     fd_ = ::open(path_.c_str(),
                  O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
@@ -147,34 +198,38 @@ ResultCache::quarantine(std::string_view line)
 }
 
 void
-ResultCache::loadExisting()
+ResultCache::loadExisting(int jobs)
 {
     std::ifstream in{path_};
     if (!in)
         return;
 
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::string_view payload;
-        std::string hash;
-        PointMetrics m;
-        if (unframe(line, &payload)) {
-            if (parsePayload(payload, &hash, &m))
-                entries_.insert_or_assign(std::move(hash), m);
-            else
-                quarantine(line);
-        } else if (line[0] == '{') {
-            // Legacy v1 record: a bare JSON line, no framing.
-            if (parsePayload(line, &hash, &m)) {
-                entries_.insert_or_assign(std::move(hash), m);
+    // Stream the file a block at a time (never whole: see DESIGN.md
+    // §4f). The pool parses a block's lines; this thread then applies
+    // them in file order, so the last occurrence wins and the sidecar
+    // gets damaged lines as they stand, at any width. Both buffers
+    // keep their capacity from block to block.
+    std::vector<std::string> lines(kLoadBlockLines);
+    std::vector<ParsedLine> parsed(kLoadBlockLines);
+    while (const std::size_t n = readBlock(in, lines)) {
+        parallelFor(
+            n, [&](std::size_t i) { parseLine(lines[i], &parsed[i]); },
+            ParallelOptions{jobs, 0});
+        for (std::size_t i = 0; i < n; ++i) {
+            ParsedLine &p = parsed[i];
+            switch (p.kind) {
+            case ParsedLine::Kind::kBlank:
+                break;
+            case ParsedLine::Kind::kLegacy:
                 sawLegacy_ = true;
-            } else {
-                quarantine(line);
+                [[fallthrough]];
+            case ParsedLine::Kind::kRecord:
+                entries_.insert_or_assign(std::move(p.hash), p.metrics);
+                break;
+            case ParsedLine::Kind::kDamaged:
+                quarantine(lines[i]);
+                break;
             }
-        } else {
-            quarantine(line);
         }
     }
     loaded_ = entries_.size();
@@ -319,9 +374,22 @@ ResultCache::compactLocked()
     fatalIf(tfd < 0, "cannot open \"" + tmp +
                          "\" for result cache compaction");
 
+    // Sorted keys make the file's bytes depend on the entries alone,
+    // not on the hash map's layout.
+    using Entry = decltype(entries_)::value_type;
+    std::vector<const Entry *> sorted;
+    sorted.reserve(entries_.size());
+    // CRYOLINT-NEXTLINE(determinism-iteration): keys sorted before any
+    // byte is written.
+    for (const Entry &entry : entries_)
+        sorted.push_back(&entry);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Entry *a, const Entry *b) {
+                  return a->first < b->first;
+              });
     std::string buf;
-    for (const auto &[hash, metrics] : entries_) {
-        buf += formatRecord(hash, metrics);
+    for (const Entry *entry : sorted) {
+        buf += formatRecord(entry->first, entry->second);
         buf += '\n';
     }
 

@@ -32,6 +32,15 @@
  * atomic rename, so a crash at any instant leaves either the old or
  * the new file - never a truncated hybrid.
  *
+ * The load streams the file in blocks of kLoadBlockLines lines. Each
+ * block's lines are unframed, CRC-checked and parsed on the shared
+ * pool at the owner's width (a sweep's --jobs, the daemon's eval
+ * threads), then applied on the constructing thread in file order:
+ * the last occurrence wins across blocks too, and damaged lines reach
+ * the sidecar in file order, so every width loads the same entries
+ * and writes the same bytes. The index is a hash map; only
+ * compaction sorts the keys, in std::string order.
+ *
  * Failpoint sites: "cache.append.write" (error / partial(BYTES)),
  * "cache.compact.write", "cache.compact.rename".
  */
@@ -40,10 +49,10 @@
 #define CRYOWIRE_DSE_RESULT_CACHE_HH
 
 #include <cstddef>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "dse/point_eval.hh"
 
@@ -89,15 +98,18 @@ class ResultCache
     /**
      * Open the cache at @p path ("" = in-memory only). An existing
      * file is loaded (deduped; damaged or legacy records handled as
-     * documented above); a missing file starts empty and is created
-     * on the first append. When the file cannot be opened for
-     * appending, kRequireWritable is fatal(); kTolerateReadOnly warns
-     * once and serves lookups with memory-only stores.
+     * documented above) on @p loadJobs workers (0 = CRYOWIRE_JOBS /
+     * hardware default, 1 = the calling thread only); a missing file
+     * starts empty and is created on the first append. When the file
+     * cannot be opened for appending, kRequireWritable is fatal();
+     * kTolerateReadOnly warns once and serves lookups with
+     * memory-only stores.
      */
     explicit ResultCache(
         std::string path,
         CacheWritability writability = CacheWritability::kRequireWritable,
-        CacheDurability durability = CacheDurability::kWritePerStore);
+        CacheDurability durability = CacheDurability::kWritePerStore,
+        int loadJobs = 0);
     ~ResultCache();
 
     ResultCache(const ResultCache &) = delete;
@@ -148,8 +160,15 @@ class ResultCache
     static std::string formatRecord(const std::string &hashHex,
                                     const PointMetrics &m);
 
+    /**
+     * Lines per load block: a few hundred keep the reused line and
+     * result buffers near 0.1 MB while each block still feeds every
+     * worker.
+     */
+    static constexpr std::size_t kLoadBlockLines = 256;
+
   private:
-    void loadExisting();
+    void loadExisting(int jobs);
     void quarantine(std::string_view line);
     /** Append one framed record, newline included. */
     bool appendLocked(const std::string &record);
@@ -159,7 +178,7 @@ class ResultCache
     std::string path_;
     CacheDurability durability_ = CacheDurability::kWritePerStore;
     mutable std::mutex mu_;
-    std::map<std::string, PointMetrics> entries_;
+    std::unordered_map<std::string, PointMetrics> entries_;
     int fd_ = -1;
     std::size_t loaded_ = 0;
     std::size_t quarantined_ = 0;

@@ -64,7 +64,8 @@ runSweep(const SweepSpec &spec, const PointEvaluator &evaluator,
                       CacheWritability::kRequireWritable,
                       options.fsyncCache
                           ? CacheDurability::kFsyncPerStore
-                          : CacheDurability::kWritePerStore};
+                          : CacheDurability::kWritePerStore,
+                      options.jobs};
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> evaluated{0};
     // Each worker keeps its point's digest for the result line.

@@ -47,7 +47,10 @@ struct SweepOptions
     /** Total shards partitioning the sweep. */
     int shardCount = 1;
 
-    /** Worker threads; 0 = CRYOWIRE_JOBS / hardware default. */
+    /**
+     * Worker threads, for the cache load and the points alike;
+     * 0 = CRYOWIRE_JOBS / hardware default.
+     */
     int jobs = 0;
 
     /** Result-cache path; "" = in-memory (no persistence). */

@@ -23,7 +23,8 @@ Server::Server(ServerConfig config)
               ? dse::CacheWritability::kTolerateReadOnly
               : dse::CacheWritability::kRequireWritable,
           cfg_.fsyncCache ? dse::CacheDurability::kFsyncPerStore
-                          : dse::CacheDurability::kWritePerStore)),
+                          : dse::CacheDurability::kWritePerStore,
+          cfg_.evalThreads)),
       eval_(evaluator_, cache_.get()),
       stats_(cfg_.latencyBins, cfg_.latencyBinUs),
       epoch_(std::chrono::steady_clock::now()),

@@ -77,7 +77,11 @@ struct ServerConfig
 
     AdmissionConfig admission;
 
-    /** Grow the shared ThreadPool to this many workers (0 = leave). */
+    /**
+     * Grow the shared ThreadPool to this many workers (0 = leave).
+     * The cache load at construction runs at this width too (0 = the
+     * pool default).
+     */
     int evalThreads = 0;
 
     /** Longest accepted request line [bytes]. */

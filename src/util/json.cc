@@ -554,6 +554,13 @@ class JsonParser
   private:
     static constexpr int kMaxDepth = 200; ///< nesting guard
 
+    /**
+     * Member room a non-empty object starts with: enough for every
+     * object this tree reads (a result line's 4, a point's 13, the
+     * metrics' 9), so their members are not moved as they arrive.
+     */
+    static constexpr std::size_t kObjectMembers = 16;
+
     /** 1-based column of pos_: bytes since the line started, plus 1. */
     int column() const { return static_cast<int>(pos_ - lineStart_) + 1; }
 
@@ -668,7 +675,10 @@ class JsonParser
         }
     }
 
-    /** Members and items are parsed in place, at the vector's end. */
+    /**
+     * Members and items are parsed in place, at the vector's end; an
+     * object's vector starts with room for kObjectMembers.
+     */
     void parseObject(JsonValue &v, int depth)
     {
         v.kind_ = JsonValue::Kind::Object;
@@ -678,6 +688,7 @@ class JsonParser
             advance();
             return;
         }
+        v.members_.reserve(kObjectMembers);
         for (;;) {
             skipWhitespace();
             if (!next('"'))

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -489,6 +490,169 @@ TEST(ResultCache, PersistsDedupesAndSurvivesTruncatedTail)
         diag::resetWarnings();
     }
     std::remove(path.c_str());
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in{path, std::ios::binary};
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(ResultCache, NonCanonicalFrameLengthsAreQuarantined)
+{
+    const std::string path = "/tmp/cryowire_test_dse_frame_len.jsonl";
+    const std::string sidecar = ResultCache::quarantinePath(path);
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
+
+    PointMetrics m;
+    m.perf = 1.25;
+    const std::string payload = ResultCache::formatLine("aaaa", m);
+    const std::string tail =
+        " " + crcHex(Crc32c::of(payload)) + " " + payload;
+    // 2^64 + the payload size: a 64-bit accumulator wraps it back to
+    // the size, so only a check as the digits arrive rejects it.
+    ASSERT_LT(payload.size(), 384u);
+    const std::string wrapped =
+        "18446744073709551" + std::to_string(616 + payload.size());
+    const std::string overflowing = "v2 " + wrapped + tail;
+    const std::string leadingZero =
+        "v2 0" + std::to_string(payload.size()) + tail;
+    {
+        std::ofstream out{path, std::ios::binary};
+        out << overflowing << '\n';
+        out << leadingZero << '\n';
+        out << ResultCache::formatRecord("bbbb", m) << '\n';
+    }
+
+    ResultCache cache{path};
+    EXPECT_EQ(cache.loadedEntries(), 1u);
+    EXPECT_EQ(cache.quarantinedEntries(), 2u);
+    PointMetrics out;
+    EXPECT_FALSE(cache.lookup("aaaa", &out));
+    ASSERT_TRUE(cache.lookup("bbbb", &out));
+    EXPECT_DOUBLE_EQ(out.perf, 1.25);
+    EXPECT_EQ(readBytes(sidecar), overflowing + "\n" + leadingZero + "\n");
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
+}
+
+TEST(ResultCache, LoadIsTheSameAtEveryWidthAndAcrossBlocks)
+{
+    // A file several load blocks long, with duplicates whose last
+    // occurrence differs, damaged and legacy lines and blank lines
+    // on both sides of the block boundaries.
+    const std::size_t block = ResultCache::kLoadBlockLines;
+    std::vector<std::string> lines;
+    std::map<std::string, double> want; // last occurrence wins
+    std::string wantSidecar;
+    const auto metrics = [](double perf) {
+        PointMetrics m;
+        m.perf = perf;
+        m.totalPower = 1.0 / perf;
+        m.converged = true;
+        return m;
+    };
+    const auto record = [&](const std::string &key, double perf) {
+        lines.push_back(ResultCache::formatRecord(key, metrics(perf)));
+        want[key] = perf;
+    };
+    const auto legacy = [&](const std::string &key, double perf) {
+        lines.push_back(ResultCache::formatLine(key, metrics(perf)));
+        want[key] = perf;
+    };
+    const auto damaged = [&](const std::string &line) {
+        lines.push_back(line);
+        wantSidecar += line + "\n";
+    };
+    const PointMetrics lost = metrics(3.0);
+    const std::string torn =
+        ResultCache::formatRecord(hashHex(0xdead), lost).substr(0, 40);
+    std::string flipped = ResultCache::formatRecord(hashHex(0xbeef), lost);
+    const std::size_t crcAt = flipped.find(' ', 3) + 1;
+    flipped[crcAt] = flipped[crcAt] == '0' ? '1' : '0';
+    const std::string dupA = hashHex(0xa);
+    const std::string dupB = hashHex(0xb);
+    const std::string dupC = hashHex(0xc);
+    const std::string dupD = hashHex(0xd);
+
+    std::uint64_t fresh = 0x1000;
+    while (lines.size() < 3 * block + 40) {
+        const std::size_t at = lines.size();
+        if (at == 5)
+            record(dupB, 1.0);
+        else if (at == 9)
+            record(dupD, 1.25);
+        else if (at == 12)
+            record(dupD, 1.5); // wins within the block
+        else if (at == block - 2)
+            record(dupA, 2.0);
+        else if (at == block - 1)
+            damaged(torn);
+        else if (at == block)
+            damaged(flipped);
+        else if (at == block + 1)
+            record(dupA, 2.5); // wins across the first boundary
+        else if (at == 2 * block - 1)
+            legacy(dupC, 3.0);
+        else if (at == 2 * block || at == 2 * block + 1)
+            lines.emplace_back(); // blank
+        else if (at == 2 * block + 2)
+            record(dupC, 3.5); // wins over the legacy line
+        else if (at == 3 * block - 1)
+            lines.emplace_back();
+        else if (at == 3 * block)
+            damaged("!! not a record");
+        else if (at == 3 * block + 1)
+            record(dupB, 4.5); // wins three blocks later
+        else
+            record(hashHex(fresh++), static_cast<double>(at) + 0.25);
+    }
+    std::string file;
+    for (const std::string &line : lines)
+        file += line + "\n";
+    std::string wantCompacted;
+    for (const auto &[key, perf] : want) {
+        wantCompacted += ResultCache::formatRecord(key, metrics(perf));
+        wantCompacted += '\n';
+    }
+
+    // Every width must load, quarantine and compact to the same
+    // expectation, so the widths agree with each other too.
+    const std::string path = "/tmp/cryowire_test_dse_widths.jsonl";
+    const std::string sidecar = ResultCache::quarantinePath(path);
+    for (const int width : {1, 2, 4}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        std::remove(sidecar.c_str());
+        {
+            std::ofstream out{path, std::ios::binary};
+            out << file;
+        }
+        diag::resetWarnings();
+        ResultCache cache{path, CacheWritability::kRequireWritable,
+                          CacheDurability::kWritePerStore, width};
+        EXPECT_EQ(diag::warnStats().emitted, 1u);
+        diag::resetWarnings();
+        EXPECT_EQ(cache.loadedEntries(), want.size());
+        EXPECT_EQ(cache.quarantinedEntries(), 3u);
+        for (const auto &[key, perf] : want) {
+            PointMetrics m;
+            ASSERT_TRUE(cache.lookup(key, &m)) << key;
+            EXPECT_EQ(ResultCache::formatLine(key, m),
+                      ResultCache::formatLine(key, metrics(perf)));
+        }
+        PointMetrics m;
+        EXPECT_FALSE(cache.lookup(hashHex(0xdead), &m));
+        EXPECT_FALSE(cache.lookup(hashHex(0xbeef), &m));
+        cache.rewrite();
+        EXPECT_EQ(readBytes(sidecar), wantSidecar);
+        EXPECT_EQ(readBytes(path), wantCompacted);
+    }
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
 }
 
 /* ------------------------------------------------------------------ */
