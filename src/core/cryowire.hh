@@ -10,13 +10,12 @@
  *  - cryo::mem       cache/DRAM timing, L3 transaction composition
  *  - cryo::power     McPAT-lite, Orion-lite, cooling cost
  *  - cryo::sys       workloads + interval simulator
- *  - cryo::core      system builder + evaluator (this layer)
+ *  - cryo::core      system builder + voltage optimizer (this layer)
  */
 
 #ifndef CRYOWIRE_CORE_CRYOWIRE_HH
 #define CRYOWIRE_CORE_CRYOWIRE_HH
 
-#include "core/evaluation.hh"
 #include "core/system_builder.hh"
 #include "core/voltage_optimizer.hh"
 #include "mem/memory_system.hh"

@@ -126,16 +126,16 @@ class PointEvaluator
      */
     PointMetrics evaluate(const DesignPoint &point) const;
 
+  private:
+    /** A Technology and the SystemBuilder over it. */
+    struct Family;
+
     /**
      * The Technology for the point's node/device axes, shared and
      * immutable (memoized per distinct axis combination).
      */
     std::shared_ptr<const tech::Technology>
     technologyFor(const DesignPoint &point) const;
-
-  private:
-    /** A Technology and the SystemBuilder over it. */
-    struct Family;
 
     /**
      * The family of the point's technology axes, core count and

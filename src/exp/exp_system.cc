@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "dse/point_eval.hh"
 #include "exp/registry.hh"
 #include "power/cooling.hh"
-#include "power/mcpat_lite.hh"
 #include "sys/interval_sim.hh"
 #include "sys/workload.hh"
 
@@ -29,11 +29,12 @@ runFig03(const Context &ctx, ExperimentResult &r)
 {
     const IntervalSimulator &sim = ctx.simulator();
     const auto base = ctx.builder().baseline300Mesh();
+    const auto suite = parsec21();
 
     Table &t = r.table({"workload", "core", "L2", "L3+NoC", "DRAM",
                         "sync", "NoC share"});
     double sum = 0.0, mx = 0.0;
-    for (const auto &w : parsec21()) {
+    for (const auto &w : suite) {
         const auto res = sim.run(base, w);
         const auto &s = res.stack;
         const double total = s.total();
@@ -46,13 +47,14 @@ runFig03(const Context &ctx, ExperimentResult &r)
         sum += res.stack.nocShare();
         mx = std::max(mx, res.stack.nocShare());
     }
+    const double avg = sum / static_cast<double>(suite.size());
     t.addRule();
     t.addRow({"average NoC share", "", "", "", "", "paper: 45.6%",
-              Table::pct(sum / 13.0)});
+              Table::pct(avg)});
     t.addRow({"max NoC share", "", "", "", "", "paper: 76.6%",
               Table::pct(mx)});
 
-    r.anchored("avg-noc-share", sum / 13.0, 0.456, 0.1, "frac");
+    r.anchored("avg-noc-share", avg, 0.456, 0.1, "frac");
     r.anchored("max-noc-share", mx, 0.766, 0.1, "frac");
     r.verdict(
         "The inter-core interconnect dominates multi-thread CPI at 64 "
@@ -63,28 +65,23 @@ runFig03(const Context &ctx, ExperimentResult &r)
 void
 runFig17(const Context &ctx, ExperimentResult &r)
 {
-    const IntervalSimulator &sim = ctx.simulator();
-    const auto ideal = ctx.builder().idealNoc77();
-    const auto mesh = ctx.builder().chpMesh77();
-    const auto bus = ctx.builder().sharedBus77();
+    // Normalized to the ideal NoC, column 0.
+    const auto suite = parsec21();
+    const auto res = ctx.simulator().speedups(
+        {ctx.builder().idealNoc77(), ctx.builder().chpMesh77(),
+         ctx.builder().sharedBus77()},
+        suite, 0);
 
     Table &t = r.table({"workload", "77K Mesh", "77K Shared bus"});
-    double mesh_sum = 0.0, bus_sum = 0.0;
-    for (const auto &w : parsec21()) {
-        const double t_ideal = sim.run(ideal, w).timePerInstr;
-        const double m = t_ideal / sim.run(mesh, w).timePerInstr;
-        const double b = t_ideal / sim.run(bus, w).timePerInstr;
-        t.addRow({w.name, Table::num(m), Table::num(b)});
-        mesh_sum += m;
-        bus_sum += b;
-    }
+    for (std::size_t wi = 0; wi < suite.size(); ++wi)
+        t.addRow({suite[wi].name, Table::num(res.perf[wi][1]),
+                  Table::num(res.perf[wi][2])});
     t.addRule();
-    t.addRow({"average (paper: 0.567 / 0.919)",
-              Table::num(mesh_sum / 13.0),
-              Table::num(bus_sum / 13.0)});
+    t.addRow({"average (paper: 0.567 / 0.919)", Table::num(res.mean[1]),
+              Table::num(res.mean[2])});
 
-    r.anchored("mesh-vs-ideal", mesh_sum / 13.0, 0.567, 0.13, "frac");
-    r.anchored("bus-vs-ideal", bus_sum / 13.0, 0.919, 0.13, "frac");
+    r.anchored("mesh-vs-ideal", res.mean[1], 0.567, 0.13, "frac");
+    r.anchored("bus-vs-ideal", res.mean[2], 0.919, 0.13, "frac");
     r.verdict(
         "Guideline #1: the shared bus recovers most of the ideal-NoC "
         "performance at 77 K; the router-based mesh cannot.");
@@ -94,15 +91,19 @@ runFig17(const Context &ctx, ExperimentResult &r)
 void
 runFig23(const Context &ctx, ExperimentResult &r)
 {
-    const auto res = ctx.evaluator().parsecComparison();
+    // The Table-4 systems, normalized to CHP-core (77K, Mesh),
+    // column 1.
+    const auto suite = parsec21();
+    const auto res =
+        ctx.simulator().speedups(ctx.builder().table4Systems(), suite, 1);
 
     Table &t = r.table({"workload", "300K base", "CHP Mesh",
                         "CryoSP Mesh", "CHP CryoBus",
                         "CryoSP CryoBus"});
-    for (std::size_t wi = 0; wi < res.workloads.size(); ++wi) {
-        std::vector<std::string> row{res.workloads[wi]};
-        for (std::size_t di = 0; di < res.designs.size(); ++di)
-            row.push_back(Table::num(res.perf[wi][di]));
+    for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+        std::vector<std::string> row{suite[wi].name};
+        for (double p : res.perf[wi])
+            row.push_back(Table::num(p));
         t.addRow(row);
     }
     t.addRule();
@@ -147,20 +148,25 @@ void
 runFig24(const Context &ctx, ExperimentResult &r)
 {
     const IntervalSimulator &sim = ctx.simulator();
-    const auto res = ctx.evaluator().specComparison();
-
-    const auto one_way = ctx.builder().cryoSpCryoBus77(1);
     const auto suite = specRateAggressivePrefetch();
+    // Normalized to the 300 K baseline, column 0.
+    const std::vector<SystemDesign> designs = {
+        ctx.builder().baseline300Mesh(),
+        ctx.builder().chpMesh77(),
+        ctx.builder().cryoSpCryoBus77(1),
+        ctx.builder().cryoSpCryoBus77(2),
+    };
+    const auto res = sim.speedups(designs, suite, 0);
 
     int saturated = 0;
     Table &t = r.table({"workload", "300K base", "CHP Mesh",
                         "CryoSP CryoBus", "CryoSP CryoBus 2-way",
                         "1-way bus"});
-    for (std::size_t wi = 0; wi < res.workloads.size(); ++wi) {
-        std::vector<std::string> row{res.workloads[wi]};
-        for (std::size_t di = 0; di < res.designs.size(); ++di)
-            row.push_back(Table::num(res.perf[wi][di]));
-        const bool sat = sim.run(one_way, suite[wi]).saturated;
+    for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+        std::vector<std::string> row{suite[wi].name};
+        for (double p : res.perf[wi])
+            row.push_back(Table::num(p));
+        const bool sat = sim.run(designs[2], suite[wi]).saturated;
         saturated += sat ? 1 : 0;
         row.push_back(sat ? "saturated" : "ok");
         t.addRow(row);
@@ -202,18 +208,19 @@ runFig24(const Context &ctx, ExperimentResult &r)
 void
 runFig27(const Context &ctx, ExperimentResult &r)
 {
-    const IntervalSimulator &sim = ctx.simulator();
+    // The points of examples/specs/fig27_temperature.json: CryoSP+
+    // CryoBus on plain SPEC (Section 7.4) at each temperature, priced
+    // against the 300 K baseline like every DSE point. Only the
+    // technology, core count, floorplan and seed come from the
+    // Context's point.
+    const dse::PointEvaluator eval;
+    dse::DesignPoint point = ctx.point();
+    point.design = "cryosp-cryobus77";
+    point.suite = "spec-rate";
+    point.workload.clear();
+    point.busWays = 1;
+    point.vdd = point.vth = dse::unsetField();
     power::CoolingModel cooling;
-    power::McpatLite mcpat{ctx.technology(), /*iso_activity=*/false};
-
-    auto suite = specRateAggressivePrefetch();
-    for (auto &w : suite)
-        w.prefetchApki = 0.0; // Section 7.4 runs plain SPEC
-
-    const auto base300 = ctx.builder().baseline300Mesh();
-    double perf300 = 0.0;
-    for (const auto &w : suite)
-        perf300 += sim.run(base300, w).perf();
 
     Table &t = r.table({"T (K)", "f core", "CO", "perf (vs 300K base)",
                         "device power", "total power", "perf/power"});
@@ -221,13 +228,9 @@ runFig27(const Context &ctx, ExperimentResult &r)
     double best_t = 300.0;
     double ppw77 = 0.0, ppw100 = 0.0;
     for (double temp : {77.0, 100.0, 125.0, 150.0, 200.0, 250.0}) {
-        const auto design = ctx.builder().atTemperature(temp);
-        double perf = 0.0;
-        for (const auto &w : suite)
-            perf += sim.run(design, w).perf();
-        perf /= perf300;
-        const auto p = mcpat.corePower(design.core, base300.core);
-        const double ppw = perf / p.total();
+        point.tempK = temp;
+        const dse::PointMetrics m = eval.evaluate(point);
+        const double ppw = m.perfPerWatt;
         if (ppw > best_ppw) {
             best_ppw = ppw;
             best_t = temp;
@@ -236,11 +239,10 @@ runFig27(const Context &ctx, ExperimentResult &r)
             ppw77 = ppw;
         else if (temp == 100.0)
             ppw100 = ppw;
-        t.addRow({Table::num(temp, 0),
-                  Table::num(design.core.frequency / 1e9, 2) + " GHz",
+        t.addRow({Table::num(temp, 0), Table::num(m.freqGhz, 2) + " GHz",
                   Table::num(cooling.overhead(units::Kelvin{temp}), 2),
-                  Table::mult(perf), Table::num(p.device(), 3),
-                  Table::num(p.total(), 3), Table::num(ppw, 2)});
+                  Table::mult(m.perf), Table::num(m.devicePower, 3),
+                  Table::num(m.totalPower, 3), Table::num(ppw, 2)});
     }
     // The 300 K row is the conventional baseline itself.
     t.addRow({"300", "4.00 GHz", "0.00", "1.00x", "1.000", "1.000",

@@ -87,8 +87,7 @@ Context::Context(const dse::DesignPoint &point)
     : point_(validated(point)), tech_(dse::makeTechnology(point_)),
       builder_(*tech_, point_.cores,
                pipeline::Floorplan::skylakeLike().scaled(
-                   point_.floorplanScale)),
-      evaluator_(*tech_, point_.cores)
+                   point_.floorplanScale))
 {
 }
 

@@ -7,13 +7,13 @@
  * machine-checkable regression gate.
  *
  * Experiments consume the model stack through a shared const Context
- * (technology, SystemBuilder, Evaluator, seeded traffic) instead of
- * each main() hand-wiring its own globals, so every experiment is a
- * pure function of (Context, declaration) and can be dispatched on the
- * thread pool with deterministic results. The netsim figures also
- * list their measurements as netsim::Cell values; the runner
- * simulates those in one pool and hands the results back through the
- * Context.
+ * (technology, SystemBuilder, IntervalSimulator, seeded traffic)
+ * instead of each main() hand-wiring its own globals, so every
+ * experiment is a pure function of (Context, declaration) and can be
+ * dispatched on the thread pool with deterministic results. The netsim
+ * figures also list their measurements as netsim::Cell values; the
+ * runner simulates those in one pool and hands the results back
+ * through the Context.
  */
 
 #ifndef CRYOWIRE_EXP_EXPERIMENT_HH
@@ -29,11 +29,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/evaluation.hh"
 #include "core/system_builder.hh"
 #include "dse/design_point.hh"
 #include "netsim/cell.hh"
 #include "netsim/traffic.hh"
+#include "sys/interval_sim.hh"
 #include "tech/technology.hh"
 #include "util/table.hh"
 
@@ -165,16 +165,17 @@ class CellTable
  * Shared, immutable model stack handed to every experiment - a pure
  * function of one dse::DesignPoint. The point selects the technology
  * corner, core count, floorplan scale, and seed; the derived
- * Technology, SystemBuilder, Evaluator and IntervalSimulator are
- * stateless after construction, so concurrent experiments may consume
- * one Context freely. The runner's Context also carries the netsim
- * cell results its pool produced (measure()).
+ * Technology, the one SystemBuilder over it and the IntervalSimulator
+ * are stateless after construction, so concurrent experiments may
+ * consume one Context freely. A hook that evaluates design points
+ * (Fig. 27) builds them from point(). The runner's Context also
+ * carries the netsim cell results its pool produced (measure()).
  *
  * Contexts are cheap values: the Technology lives behind a shared
- * const pointer, so copies share it and a copy costs two small object
- * rebuilds, not a technology re-derivation. Copying is safe because
- * the builder/evaluator members reference the *shared* Technology,
- * which every copy keeps alive.
+ * const pointer, so copies share it and a copy costs one small object
+ * rebuild, not a technology re-derivation. Copying is safe because
+ * the builder references the *shared* Technology, which every copy
+ * keeps alive.
  */
 class Context
 {
@@ -189,18 +190,8 @@ class Context
     std::uint64_t seed() const { return point_.seed; }
 
     const tech::Technology &technology() const { return *tech_; }
-
-    /** The shared Technology (for stacks outliving this Context). */
-    std::shared_ptr<const tech::Technology> sharedTechnology() const
-    {
-        return tech_;
-    }
     const core::SystemBuilder &builder() const { return builder_; }
-    const core::Evaluator &evaluator() const { return evaluator_; }
-    const sys::IntervalSimulator &simulator() const
-    {
-        return evaluator_.simulator();
-    }
+    const sys::IntervalSimulator &simulator() const { return sim_; }
 
     /** Base traffic spec carrying this run's seed. */
     netsim::TrafficSpec traffic() const;
@@ -225,7 +216,7 @@ class Context
     /** Declared before the members that hold references into it. */
     std::shared_ptr<const tech::Technology> tech_;
     core::SystemBuilder builder_;
-    core::Evaluator evaluator_;
+    sys::IntervalSimulator sim_;
     std::shared_ptr<const CellTable> cells_; ///< null: none pooled
 };
 

@@ -7,11 +7,6 @@
 namespace cryo::svc
 {
 
-ServerStats::ServerStats(std::size_t latencyBins, double latencyBinUs)
-    : latencyUs_(latencyBins, latencyBinUs)
-{
-}
-
 void
 ServerStats::onConnection()
 {

@@ -9,6 +9,7 @@
 #ifndef CRYOWIRE_SVC_METRICS_HH
 #define CRYOWIRE_SVC_METRICS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 
@@ -44,11 +45,9 @@ struct SvcCounters
 class ServerStats
 {
   public:
-    /**
-     * @param latencyBins   histogram bin count
-     * @param latencyBinUs  histogram bin width [us]
-     */
-    ServerStats(std::size_t latencyBins, double latencyBinUs);
+    /** Latency histogram geometry: bin count x width [us]. */
+    static constexpr std::size_t kLatencyBins = 4096;
+    static constexpr double kLatencyBinUs = 500.0;
 
     void onConnection();
     void onReceived();
@@ -79,7 +78,7 @@ class ServerStats
   private:
     mutable std::mutex mu_;
     SvcCounters counters_;
-    Histogram latencyUs_;
+    Histogram latencyUs_{kLatencyBins, kLatencyBinUs};
 };
 
 } // namespace cryo::svc

@@ -26,7 +26,6 @@ Server::Server(ServerConfig config)
                           : dse::CacheDurability::kWritePerStore,
           cfg_.evalThreads)),
       eval_(evaluator_, cache_.get()),
-      stats_(cfg_.latencyBins, cfg_.latencyBinUs),
       epoch_(std::chrono::steady_clock::now()),
       admission_(cfg_.admission)
 {

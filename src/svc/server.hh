@@ -86,10 +86,6 @@ struct ServerConfig
 
     /** Longest accepted request line [bytes]. */
     std::size_t maxLineBytes = 1 << 20;
-
-    /** Latency histogram geometry (bins x width [us]). */
-    std::size_t latencyBins = 4096;
-    double latencyBinUs = 500.0;
 };
 
 /** The daemon. Construct, start(), eventually stop(). */

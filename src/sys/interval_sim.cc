@@ -265,22 +265,44 @@ IntervalSimulator::speedup(const SystemDesign &design,
     return run(baseline, w).timePerInstr / run(design, w).timePerInstr;
 }
 
+Speedups
+IntervalSimulator::speedups(const std::vector<SystemDesign> &designs,
+                            const std::vector<Workload> &suite,
+                            std::size_t baseline) const
+{
+    fatalIf(suite.empty(), "suite has no workloads");
+    fatalIf(baseline >= designs.size(), "baseline index out of range");
+
+    // One runSuite per design validates it and derives its
+    // interconnect invariants once for the whole suite.
+    std::vector<std::vector<SimResult>> runs;
+    runs.reserve(designs.size());
+    for (const SystemDesign &d : designs)
+        runs.push_back(runSuite(d, suite));
+
+    Speedups out;
+    out.perf.assign(suite.size(), std::vector<double>(designs.size()));
+    for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+        const double base_time = runs[baseline][wi].timePerInstr;
+        for (std::size_t di = 0; di < designs.size(); ++di)
+            out.perf[wi][di] = base_time / runs[di][wi].timePerInstr;
+    }
+    out.mean.assign(designs.size(), 0.0);
+    for (std::size_t di = 0; di < designs.size(); ++di) {
+        double sum = 0.0;
+        for (std::size_t wi = 0; wi < suite.size(); ++wi)
+            sum += out.perf[wi][di];
+        out.mean[di] = sum / static_cast<double>(suite.size());
+    }
+    return out;
+}
+
 double
 IntervalSimulator::meanSpeedup(const SystemDesign &design,
                                const SystemDesign &baseline,
                                const std::vector<Workload> &suite) const
 {
-    fatalIf(suite.empty(), "suite has no workloads");
-    // One runSuite per design point validates and derives the design
-    // invariants once for the whole suite; the per-index ratios and
-    // ordered sum are the same arithmetic as per-workload speedup()
-    // calls, so the mean is bitwise-identical to them.
-    const auto base = runSuite(baseline, suite);
-    const auto opt = runSuite(design, suite);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < suite.size(); ++i)
-        sum += base[i].timePerInstr / opt[i].timePerInstr;
-    return sum / static_cast<double>(suite.size());
+    return speedups({baseline, design}, suite, 0).mean[1];
 }
 
 } // namespace cryo::sys

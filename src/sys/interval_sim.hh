@@ -17,6 +17,7 @@
 #ifndef CRYOWIRE_SYS_INTERVAL_SIM_HH
 #define CRYOWIRE_SYS_INTERVAL_SIM_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,15 @@ struct SimResult
     double perf() const { return 1.0 / timePerInstr; }
 };
 
+/** Per-workload speed-ups of a set of designs over one of them. */
+struct Speedups
+{
+    /** perf[w][d]: the baseline's time over design d's on workload w. */
+    std::vector<std::vector<double>> perf;
+    /** Arithmetic mean of perf[.][d] over the suite, per design. */
+    std::vector<double> mean;
+};
+
 /**
  * The interval simulator.
  */
@@ -120,8 +130,18 @@ class IntervalSimulator
     double speedup(const SystemDesign &design,
                    const SystemDesign &baseline, const Workload &w) const;
 
-    /** Arithmetic-mean speed-up over a suite (Fig. 23/24 averages);
-     * both runSuite calls run on the calling thread. */
+    /**
+     * The speed-up table of Figs. 17, 23 and 24: every design in
+     * @p designs over designs[@p baseline], on each workload of
+     * @p suite, plus each design's mean over the suite. One runSuite
+     * per design, all on the calling thread.
+     */
+    Speedups speedups(const std::vector<SystemDesign> &designs,
+                      const std::vector<Workload> &suite,
+                      std::size_t baseline) const;
+
+    /** Mean speed-up of @p design over @p baseline on @p suite:
+     * speedups({baseline, design}, suite, 0).mean[1]. */
     double meanSpeedup(const SystemDesign &design,
                        const SystemDesign &baseline,
                        const std::vector<Workload> &suite) const;

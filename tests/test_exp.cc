@@ -9,15 +9,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 #include <sstream>
 
+#include "dse/sweep_runner.hh"
 #include "exp/registry.hh"
 #include "exp/runner.hh"
 #include "exp/sinks.hh"
+#include "sys/interval_sim.hh"
+#include "sys/workload.hh"
 #include "util/diag.hh"
 #include "util/failpoint.hh"
+#include "util/hash.hh"
 
 namespace cryo::exp
 {
@@ -187,8 +192,8 @@ TEST(Runner, ParallelJsonIsByteIdenticalToSerial)
     RunOptions opts;
     // The last four cover the runner's cell pool (fig18) and the
     // loops beneath the runner that a width-1 call keeps on its
-    // thread: Evaluator::evaluate/runSuite (fig23/24) and the voltage
-    // grid.
+    // thread: IntervalSimulator::speedups/runSuite (fig23/24) and the
+    // voltage grid.
     opts.filters = {"fig20-bus-latency-breakdown", "table4-eval-setup",
                     "fig05-wire-speedup", "fig18-bus-load-latency",
                     "fig23-system-performance", "fig24-spec-prefetch",
@@ -587,6 +592,111 @@ TEST(CellPool, WatchdogFlagsALongCellOnceUnderItsExperiment)
     EXPECT_NE(err.find("experiment exp-slow still running"),
               std::string::npos)
         << err;
+}
+
+TEST(ExpTest, SystemFiguresArePinned)
+{
+    // Every table cell, note, verdict and metric bit of the system
+    // figures, as FNV-1a digests of the text report and the results
+    // JSON at seed 1. Recorded before these figures moved onto
+    // IntervalSimulator::speedups and dse::PointEvaluator.
+    RunOptions opts;
+    opts.filters = {"fig03-cpi-stacks", "fig17-bus-vs-mesh",
+                    "fig23-system-performance", "fig24-spec-prefetch",
+                    "fig27-temperature-sweep", "ablation-cloudsuite"};
+    opts.quiet = true;
+    const auto records = runExperiments(Registry::builtins(), opts);
+    ASSERT_EQ(records.size(), opts.filters.size());
+
+    std::string text;
+    for (const RunRecord &rec : records) {
+        EXPECT_FALSE(rec.failed) << rec.error;
+        text += renderText(rec);
+    }
+    std::ostringstream json;
+    writeJson(json, records, opts.seed);
+
+    const auto digestOf = [](const std::string &bytes) {
+        Fnv1a h;
+        h.bytes(bytes.data(), bytes.size());
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llx",
+                      static_cast<unsigned long long>(h.digest()));
+        return std::string{hex};
+    };
+    EXPECT_EQ(digestOf(text), "0xada313ddfde553f3");
+    EXPECT_EQ(digestOf(json.str()), "0xc21f5c8d2faab95e");
+}
+
+/** The value of @p r's metric @p name (NaN when it has none). */
+double
+metricValue(const ExperimentResult &r, const std::string &name)
+{
+    for (const Metric &m : r.metrics())
+        if (m.name == name)
+            return m.value;
+    return kNan;
+}
+
+TEST(ExpTest, Fig23ReadsTheContextsOwnBuilder)
+{
+    // A Context built from a non-default point has one model stack:
+    // Fig. 23 reports the speed-ups of that point's Table-4 systems,
+    // not those of a default-floorplan second builder.
+    dse::DesignPoint point;
+    point.floorplanScale = 1.3;
+    const Context ctx{point};
+    const Experiment *e =
+        Registry::builtins().find("fig23-system-performance");
+    ASSERT_NE(e, nullptr);
+    ExperimentResult r;
+    e->run(ctx, r);
+
+    const auto designs = ctx.builder().table4Systems();
+    const auto suite = sys::parsec21();
+    const auto mean = [&](std::size_t d) {
+        return ctx.simulator().meanSpeedup(designs[d], designs[1], suite);
+    };
+    EXPECT_EQ(metricValue(r, "mean-baseline300"), mean(0));
+    EXPECT_EQ(metricValue(r, "mean-cryosp-mesh"), mean(2));
+    EXPECT_EQ(metricValue(r, "mean-chp-cryobus"), mean(3));
+    EXPECT_EQ(metricValue(r, "mean-cryosp-cryobus"), mean(4));
+}
+
+TEST(ExpTest, Fig27EqualsItsSweepSpec)
+{
+    // examples/specs/fig27_temperature.json sweeps the design points
+    // Fig. 27 evaluates; the registry's figures must equal the sweep's
+    // to the bit.
+    const dse::SweepSpec spec = dse::SweepSpec::load(
+        CRYOWIRE_SOURCE_DIR "/examples/specs/fig27_temperature.json");
+    const dse::PointEvaluator eval;
+    std::ostringstream lines;
+    dse::SweepOptions opts;
+    opts.jobs = 1;
+    double ppw77 = 0.0, ppw100 = 0.0, best_ppw = 0.0, best_t = 0.0;
+    for (const dse::EvaluatedPoint &p :
+         dse::runSweep(spec, eval, lines, opts)) {
+        const double temp =
+            dse::fieldIsSet(p.point.tempK) ? p.point.tempK : 300.0;
+        const double ppw = p.metrics.perfPerWatt;
+        if (temp == 77.0)
+            ppw77 = ppw;
+        if (temp == 100.0)
+            ppw100 = ppw;
+        if (ppw > best_ppw) {
+            best_ppw = ppw;
+            best_t = temp;
+        }
+    }
+
+    const Experiment *e =
+        Registry::builtins().find("fig27-temperature-sweep");
+    ASSERT_NE(e, nullptr);
+    ExperimentResult r;
+    e->run(Context{}, r);
+    EXPECT_EQ(metricValue(r, "ppw-100k-over-77k"), ppw100 / ppw77);
+    EXPECT_EQ(metricValue(r, "best-temperature-k"), best_t);
 }
 
 TEST(Context, SeedFlowsIntoTraffic)

@@ -330,14 +330,15 @@ TEST(Properties, RepeaterDelayContinuousInLength)
     }
 }
 
-TEST(Properties, EvaluatorBaselineInvariance)
+TEST(Properties, SpeedupsBaselineInvariance)
 {
     // Normalizing to a different column rescales but preserves ratios.
-    core::Evaluator ev{technology()};
-    const auto designs = ev.builder().table4Systems();
+    const core::SystemBuilder builder{technology()};
+    const sys::IntervalSimulator sim;
+    const auto designs = builder.table4Systems();
     const auto suite = sys::parsec21();
-    const auto a = ev.evaluate(designs, suite, 0);
-    const auto b = ev.evaluate(designs, suite, 1);
+    const auto a = sim.speedups(designs, suite, 0);
+    const auto b = sim.speedups(designs, suite, 1);
     for (std::size_t wi = 0; wi < suite.size(); ++wi) {
         const double ratio_a = a.perf[wi][4] / a.perf[wi][2];
         const double ratio_b = b.perf[wi][4] / b.perf[wi][2];

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <string>
 
-#include "core/evaluation.hh"
 #include "core/system_builder.hh"
 #include "sys/interval_sim.hh"
 #include "pipeline/stage_library.hh"
@@ -154,6 +153,8 @@ TEST_F(SystemTest, Fig23HeadlineSpeedups)
     const double vs_300 = sim.meanSpeedup(best, base300, parsec);
     EXPECT_NEAR(vs_chp, 2.53, 0.25);
     EXPECT_NEAR(vs_300, 3.82, 0.45);
+    // meanSpeedup reads the speed-up table, bit for bit.
+    EXPECT_EQ(vs_chp, sim.speedups({chp_mesh, best}, parsec, 0).mean[1]);
 }
 
 TEST_F(SystemTest, Fig23DesignOrdering)
@@ -317,20 +318,24 @@ TEST_F(SystemTest, IntervalSuiteMatchesPerWorkloadRuns)
     }
 }
 
-TEST(Evaluator, NormalizesToBaselineColumn)
+TEST_F(SystemTest, SpeedupsNormalizeToBaselineColumn)
 {
-    Technology tech = Technology::freePdk45();
-    Evaluator ev{tech};
-    const auto res = ev.parsecComparison();
-    ASSERT_EQ(res.designs.size(), 5u);
-    ASSERT_EQ(res.workloads.size(), 13u);
+    const auto res = sim.speedups(builder.table4Systems(), parsec, 1);
+    ASSERT_EQ(res.mean.size(), 5u);
+    ASSERT_EQ(res.perf.size(), 13u);
     // Column 1 (CHP-core 77K Mesh) is the Fig.-23 normalization.
-    for (std::size_t wi = 0; wi < res.workloads.size(); ++wi)
+    for (std::size_t wi = 0; wi < res.perf.size(); ++wi) {
+        ASSERT_EQ(res.perf[wi].size(), 5u);
         EXPECT_NEAR(res.perf[wi][1], 1.0, 1e-9);
+    }
     EXPECT_NEAR(res.mean[1], 1.0, 1e-9);
     // The full design is the best on average.
     EXPECT_GT(res.mean[4], res.mean[3]);
     EXPECT_GT(res.mean[3], res.mean[2]);
+    // No baseline column, or no workload to average over.
+    EXPECT_THROW(sim.speedups(builder.table4Systems(), parsec, 5),
+                 FatalError);
+    EXPECT_THROW(sim.speedups(builder.table4Systems(), {}, 1), FatalError);
 }
 
 TEST(Workloads, CloudSuiteIsTheHeaviestBand)
