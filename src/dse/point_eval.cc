@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstddef>
+#include <sstream>
 #include <utility>
 
 #include "core/system_builder.hh"
@@ -152,6 +153,15 @@ PointMetrics::writeJson(JsonWriter &w) const
             w.value(this->*(m.flag));
     }
     w.endObject();
+}
+
+std::string
+PointMetrics::json() const
+{
+    std::ostringstream out;
+    JsonWriter w{out, /*indent=*/0};
+    writeJson(w);
+    return out.str();
 }
 
 void

@@ -75,6 +75,13 @@ struct PointMetrics
     void writeJson(JsonWriter &w) const;
 
     /**
+     * That object rendered compactly: a sweep point renders it once,
+     * and its cache record and result line both embed the bytes
+     * (JsonWriter::raw).
+     */
+    std::string json() const;
+
+    /**
      * Emit only @p subset, in canonical order regardless of the
      * subset's order (so equal requests render equal bytes). An
      * empty subset means "all"; an unknown name is fatal() - the

@@ -129,6 +129,44 @@ parseLine(std::string_view line, ParsedLine *out)
     }
 }
 
+/**
+ * The payload: the hash and the metrics object, spliced from
+ * @p metricsJson (m.json(), already rendered) or, when that is empty,
+ * rendered from @p m here.
+ */
+std::string
+payloadOf(std::string_view hashHex, const PointMetrics &m,
+          std::string_view metricsJson)
+{
+    std::ostringstream line;
+    JsonWriter w{line, /*indent=*/0};
+    w.beginObject();
+    w.key("hash").value(hashHex);
+    w.key("metrics");
+    if (metricsJson.empty())
+        m.writeJson(w);
+    else
+        w.raw(metricsJson);
+    w.endObject();
+    return line.str();
+}
+
+/**
+ * The framed v2 record of that payload, "v2 <len> <crc> <payload>",
+ * with room left for the newline an append adds.
+ */
+std::string
+recordOf(std::string_view hashHex, const PointMetrics &m,
+         std::string_view metricsJson)
+{
+    const std::string payload = payloadOf(hashHex, m, metricsJson);
+    std::string record = "v2 " + std::to_string(payload.size()) + " " +
+                         crcHex(Crc32c::of(payload)) + " ";
+    record.reserve(record.size() + payload.size() + 1);
+    record += payload;
+    return record;
+}
+
 /** Read up to lines.size() lines into @p lines; returns the count. */
 std::size_t
 readBlock(std::istream &in, std::vector<std::string> &lines)
@@ -255,23 +293,14 @@ std::string
 ResultCache::formatLine(const std::string &hashHex,
                         const PointMetrics &m)
 {
-    std::ostringstream line;
-    JsonWriter w{line, /*indent=*/0};
-    w.beginObject();
-    w.key("hash").value(hashHex);
-    w.key("metrics");
-    m.writeJson(w);
-    w.endObject();
-    return line.str();
+    return payloadOf(hashHex, m, {});
 }
 
 std::string
 ResultCache::formatRecord(const std::string &hashHex,
                           const PointMetrics &m)
 {
-    const std::string payload = formatLine(hashHex, m);
-    return "v2 " + std::to_string(payload.size()) + " " +
-           crcHex(Crc32c::of(payload)) + " " + payload;
+    return recordOf(hashHex, m, {});
 }
 
 void
@@ -320,11 +349,21 @@ ResultCache::appendLocked(const std::string &record)
 void
 ResultCache::store(const std::string &hashHex, const PointMetrics &m)
 {
+    store(hashHex, m, {});
+}
+
+void
+ResultCache::store(const std::string &hashHex, const PointMetrics &m,
+                   std::string_view metricsJson)
+{
     // Format outside the lock, so concurrent stores serialize only on
     // the map update and the write. A memory-only cache formats
     // nothing.
-    const std::string record =
-        path_.empty() ? std::string{} : formatRecord(hashHex, m) + "\n";
+    std::string record;
+    if (!path_.empty()) {
+        record = recordOf(hashHex, m, metricsJson);
+        record += '\n';
+    }
     std::lock_guard<std::mutex> lock(mu_);
     const bool fresh = entries_.insert_or_assign(hashHex, m).second;
     if (fresh && fd_ >= 0)

@@ -126,6 +126,15 @@ class ResultCache
      */
     void store(const std::string &hashHex, const PointMetrics &m);
 
+    /**
+     * store(hashHex, m) for a caller that already rendered m.json()
+     * as @p metricsJson to embed elsewhere too (a sweep's result
+     * line): the record splices those bytes instead of rendering the
+     * metrics again. Empty renders @p m, as store(hashHex, m) does.
+     */
+    void store(const std::string &hashHex, const PointMetrics &m,
+               std::string_view metricsJson);
+
     /** Entries loaded from disk at construction. */
     std::size_t loadedEntries() const { return loaded_; }
 

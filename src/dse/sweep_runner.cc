@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "util/diag.hh"
-#include "util/hash.hh"
 #include "util/parallel.hh"
 
 namespace cryo::dse
@@ -17,9 +16,22 @@ namespace cryo::dse
 namespace
 {
 
-/** formatResultLine for a point whose @p hash is already known. */
+/**
+ * Points a worker claims at a time within a block: a few, so that at
+ * the block's end no worker idles long while another finishes its
+ * last claim (a point costs ~10 us cold).
+ */
+constexpr std::size_t kClaimPoints = 8;
+
+/**
+ * formatResultLine for a point whose @p hash is already known. The
+ * metrics object is spliced from @p metricsJson (p.metrics.json(),
+ * already rendered for the cache record) or, when that is empty,
+ * rendered here.
+ */
 std::string
-resultLine(const EvaluatedPoint &p, std::string_view hash)
+resultLine(const EvaluatedPoint &p, std::string_view hash,
+           std::string_view metricsJson)
 {
     std::ostringstream line;
     JsonWriter w{line, /*indent=*/0};
@@ -29,7 +41,10 @@ resultLine(const EvaluatedPoint &p, std::string_view hash)
     w.key("point");
     p.point.writeJson(w);
     w.key("metrics");
-    p.metrics.writeJson(w);
+    if (metricsJson.empty())
+        p.metrics.writeJson(w);
+    else
+        w.raw(metricsJson);
     w.endObject();
     return line.str();
 }
@@ -39,7 +54,7 @@ resultLine(const EvaluatedPoint &p, std::string_view hash)
 std::string
 formatResultLine(const EvaluatedPoint &p)
 {
-    return resultLine(p, p.point.hashHex());
+    return resultLine(p, p.point.hashHex(), {});
 }
 
 std::vector<EvaluatedPoint>
@@ -54,11 +69,12 @@ runSweep(const SweepSpec &spec, const PointEvaluator &evaluator,
                 " outside [0, " + std::to_string(options.shardCount) +
                 ")");
 
+    // Shard k of n owns the indices k, k + n, k + 2n, ...
     const std::size_t total = spec.pointCount();
-    std::vector<std::size_t> mine;
-    for (std::size_t i = static_cast<std::size_t>(options.shardIndex);
-         i < total; i += static_cast<std::size_t>(options.shardCount))
-        mine.push_back(i);
+    const auto first = static_cast<std::size_t>(options.shardIndex);
+    const auto stride = static_cast<std::size_t>(options.shardCount);
+    const std::size_t owned =
+        total > first ? (total - first + stride - 1) / stride : 0;
 
     ResultCache cache{options.cachePath,
                       CacheWritability::kRequireWritable,
@@ -68,34 +84,48 @@ runSweep(const SweepSpec &spec, const PointEvaluator &evaluator,
                       options.jobs};
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> evaluated{0};
-    // Each worker keeps its point's digest for the result line.
-    std::vector<std::uint64_t> digests(mine.size());
+    std::vector<EvaluatedPoint> results(owned);
 
-    auto results = parallelMap(
-        mine.size(),
-        [&](std::size_t k) {
-            EvaluatedPoint ep;
-            ep.index = mine[k];
-            ep.point = spec.point(ep.index);
-            digests[k] = ep.point.hash();
-            const std::string hash = hashHex(digests[k]);
-            if (cache.lookup(hash, &ep.metrics)) {
-                hits.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                ep.metrics = evaluator.evaluate(ep.point);
-                cache.store(hash, ep.metrics);
-                evaluated.fetch_add(1, std::memory_order_relaxed);
-            }
-            return ep;
-        },
-        ParallelOptions{options.jobs, 0});
-
-    for (std::size_t k = 0; k < results.size(); ++k)
-        out << resultLine(results[k], hashHex(digests[k])) << '\n';
+    // A block at a time: the pool looks up or evaluates each point,
+    // stores it, and formats its line; this thread then writes the
+    // block's lines in index order. The slots are reused from block
+    // to block, so no more than one block's lines are held.
+    std::vector<std::string> lines(std::min(owned, kSweepBlockPoints));
+    for (std::size_t begin = 0; begin < owned;
+         begin += kSweepBlockPoints) {
+        const std::size_t n = std::min(kSweepBlockPoints, owned - begin);
+        parallelFor(
+            n,
+            [&](std::size_t k) {
+                EvaluatedPoint &ep = results[begin + k];
+                ep.index = first + (begin + k) * stride;
+                ep.point = spec.point(ep.index);
+                const std::string hash = ep.point.hashHex();
+                // An evaluated point's record and line splice one
+                // rendering of its metrics; a hit, or a point with no
+                // cache file to record it in, renders them in its line.
+                std::string metrics;
+                if (cache.lookup(hash, &ep.metrics)) {
+                    hits.fetch_add(1, std::memory_order_relaxed);
+                } else {
+                    ep.metrics = evaluator.evaluate(ep.point);
+                    if (!options.cachePath.empty())
+                        metrics = ep.metrics.json();
+                    cache.store(hash, ep.metrics, metrics);
+                    evaluated.fetch_add(1, std::memory_order_relaxed);
+                }
+                lines[k] = resultLine(ep, hash, metrics);
+            },
+            ParallelOptions{options.jobs, kClaimPoints});
+        for (std::size_t k = 0; k < n; ++k)
+            out.write(lines[k].data(),
+                      static_cast<std::streamsize>(lines[k].size()))
+                .put('\n');
+    }
 
     if (stats != nullptr) {
         stats->totalPoints = total;
-        stats->shardPoints = mine.size();
+        stats->shardPoints = owned;
         stats->cacheHits = hits.load();
         stats->evaluated = evaluated.load();
         stats->quarantined = cache.quarantinedEntries();

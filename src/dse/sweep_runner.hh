@@ -20,6 +20,14 @@
  * flushed to the cache as it completes, so re-running a killed shard
  * re-evaluates only what is missing (lookup by content hash), and a
  * spec edit invalidates exactly the points it changes.
+ *
+ * The shard runs in blocks of kSweepBlockPoints points. Within a
+ * block the pool's workers look up or evaluate each point, append its
+ * cache record, and format its result line; a point's metrics object
+ * is rendered once and spliced into both. The calling thread then
+ * writes the block's lines in index order, so the output holds one
+ * block's lines at a time and its bytes do not depend on the job
+ * count.
  */
 
 #ifndef CRYOWIRE_DSE_SWEEP_RUNNER_HH
@@ -70,6 +78,13 @@ struct SweepStats
     std::size_t quarantined = 0; ///< damaged cache records sidelined
 };
 
+/**
+ * Points per runSweep block: a few hundred keep every worker busy
+ * between the block's barriers, and hold the block's lines near
+ * 0.3 MB.
+ */
+constexpr std::size_t kSweepBlockPoints = 512;
+
 /** Render one result line (no trailing newline). */
 std::string formatResultLine(const EvaluatedPoint &p);
 
@@ -77,6 +92,13 @@ std::string formatResultLine(const EvaluatedPoint &p);
  * Evaluate this shard of @p spec and write its result lines to
  * @p out in index order. Returns the shard's evaluated points (same
  * order); @p stats (optional) reports cache effectiveness.
+ *
+ * When a point throws (an evaluation fault, an invalid point), the
+ * exception propagates once the block's other claimed points finish.
+ * @p out then holds the lines of every block before the failing one,
+ * whole and in index order, and nothing of the failing block; the
+ * cache holds every point evaluated before the throw. A caller that
+ * must write all or nothing buffers @p out (cryowire_sweep does).
  */
 std::vector<EvaluatedPoint> runSweep(const SweepSpec &spec,
                                      const PointEvaluator &evaluator,

@@ -179,9 +179,7 @@ runFig22(const Context &ctx, ExperimentResult &r)
 void
 runTable4(const Context &ctx, ExperimentResult &r)
 {
-    core::SystemBuilder builder{ctx.technology()};
-
-    const auto systems = builder.table4Systems();
+    const auto systems = ctx.builder().table4Systems();
     Table &t = r.table({"design", "core", "f core", "# cores", "NoC",
                         "f NoC", "protocol", "memory"});
     for (const auto &d : systems) {
@@ -205,7 +203,7 @@ runTable4(const Context &ctx, ExperimentResult &r)
                   Table::num(mem.dram * 1e9, 2) + " ns"});
     }
 
-    noc::NocDesigner designer{ctx.technology()};
+    const noc::NocDesigner &designer = ctx.builder().nocs();
     Table &n = r.table({"NoC spec", "Vdd/Vth", "hops/cycle", "router"});
     for (const auto &cfg :
          {designer.mesh300(), designer.mesh77(), designer.cryoBus()}) {

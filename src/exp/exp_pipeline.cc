@@ -213,7 +213,7 @@ runTable1(const Context &, ExperimentResult &r)
 void
 runTable3(const Context &ctx, ExperimentResult &r)
 {
-    CoreDesigner designer{ctx.technology()};
+    const CoreDesigner &designer = ctx.builder().cores();
     power::McpatLite mcpat{ctx.technology(), /*iso_activity=*/false};
     const auto base = designer.baseline300();
 

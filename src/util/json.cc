@@ -1,6 +1,7 @@
 #include "json.hh"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -28,23 +29,15 @@ renderG(char *buf, double value, int precision)
 }
 
 /**
- * formatDouble's rendering of a finite @p value into @p buf; returns
- * the end. to_chars in general format at a precision is printf's %.*g
+ * The printf ladder for a finite @p value whose shortest round-trip
+ * decimal has @p digits digits: %.15g, %.16g or %.17g, rendered into
+ * @p buf. to_chars in general format at a precision is printf's %.*g
  * in the C locale, and from_chars rounds as strtod does; neither
  * reads the locale.
  */
 char *
-renderDouble(char *buf, double value)
+renderLadder(char *buf, double value, int digits)
 {
-    // Shortest round-trip digits in scientific form, "-d.ddde+XX":
-    // count the digits before the exponent.
-    const char *sci = std::to_chars(buf, buf + kDoubleChars, value,
-                                    std::chars_format::scientific)
-                          .ptr;
-    int digits = 0;
-    for (const char *p = buf; p != sci && *p != 'e'; ++p)
-        digits += *p >= '0' && *p <= '9' ? 1 : 0;
-
     // At most 15 digits: the shortest decimal S reads back as value,
     // and a decimal of at most DBL_DIG = 15 digits survives the trip
     // through a double, so %.15g of value is S again. 17 digits: no
@@ -62,6 +55,61 @@ renderDouble(char *buf, double value)
     if (r.ec == std::errc{} && back == value)
         return end;
     return renderG(buf, value, 17);
+}
+
+/**
+ * formatDouble's rendering of a finite @p value into @p buf; returns
+ * the end.
+ *
+ * For a normal value that is not a power of two the rounding interval
+ * is symmetric, and the rung the ladder takes is the shortest digits
+ * S laid out by %g's rule at P = max(15, digits of S). At most 15
+ * digits: two 15-digit decimals never read back as one normal double,
+ * so %.15g, the nearest, is S padded with zeros. 16 or 17: no shorter
+ * rung reads back, and the nearest decimal of S's length lies in the
+ * symmetric interval, so it is S (to_chars breaks a tie to even, as
+ * printf does). Powers of two and subnormals (fewer than 15 digits
+ * survive there) take the ladder itself.
+ */
+char *
+renderDouble(char *buf, double value)
+{
+    // Shortest round-trip digits in scientific form, "-d.ddde+XX".
+    char *sci = std::to_chars(buf, buf + kDoubleChars, value,
+                              std::chars_format::scientific)
+                    .ptr;
+    char *first = buf + (std::signbit(value) ? 1 : 0); ///< lead digit
+    char *exp = std::find(first, sci, 'e');
+    char digits[17];
+    int count = 0;
+    for (const char *p = first; p != exp; ++p)
+        if (*p != '.')
+            digits[count++] = *p;
+
+    constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+    if (!std::isnormal(value) ||
+        (std::bit_cast<std::uint64_t>(value) & kFraction) == 0)
+        return renderLadder(buf, value, count);
+
+    int exponent = 0;
+    std::from_chars(exp + (exp[1] == '+' ? 2 : 1), sci, exponent);
+    // %g: scientific (what to_chars wrote) below 1e-4 or at P digits
+    // left of the point; otherwise fixed, trailing zeros dropped.
+    if (exponent < -4 || exponent >= std::max(count, 15))
+        return sci;
+    char *out = first;
+    if (exponent < 0) {
+        *out++ = '0';
+        *out++ = '.';
+        out = std::fill_n(out, -exponent - 1, '0');
+        return std::copy_n(digits, count, out);
+    }
+    const int whole = exponent + 1; ///< digits left of the point
+    out = std::copy_n(digits, std::min(count, whole), out);
+    if (count <= whole)
+        return std::fill_n(out, whole - count, '0');
+    *out++ = '.';
+    return std::copy(digits + whole, digits + count, out);
 }
 
 /** Append @p s to @p out, escaped per RFC 8259 (no quotes). */
@@ -315,6 +363,15 @@ JsonWriter::null()
 {
     beforeValue(false);
     buf_ += "null";
+    afterValue();
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::raw(std::string_view json)
+{
+    beforeValue(false);
+    buf_ += json;
     afterValue();
     return *this;
 }

@@ -48,10 +48,14 @@ namespace cryo
  * as "nan" / "inf" / "-inf"; callers that need strict JSON must handle
  * those before formatting (JsonWriter does).
  *
- * The shortest round-trip digit count d picks the rung: d <= 15 means
- * %.15g round-trips (a decimal of at most 15 digits survives the trip
- * through a double), d = 17 means neither 15 nor 16 digits can, and
- * only d = 16 needs the parse-back check.
+ * One shortest round-trip rendering (to_chars) does the work: for a
+ * normal value that is not a power of two, the rung's text is those
+ * digits laid out by %g's rule at precision max(15, their count), so
+ * only the point is placed and zeros padded. Powers of two (whose
+ * rounding interval is narrower below than above) and subnormals
+ * (which hold fewer than 15 digits) walk the ladder: the shortest
+ * digit count d picks %.15g (d <= 15) or %.17g (d = 17), and only
+ * d = 16 renders %.16g and parses it back.
  */
 std::string formatDouble(double value);
 
@@ -109,6 +113,14 @@ class JsonWriter
     JsonWriter &value(std::int64_t v);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &null();
+
+    /**
+     * One value another compact (indent 0) JsonWriter already
+     * rendered, appended verbatim: the separator and scope checks run
+     * as for any value, so a document can embed a rendering it shares
+     * with another document without rendering it twice.
+     */
+    JsonWriter &raw(std::string_view json);
 
     /** Escape @p s per RFC 8259 (quotes not included). */
     static std::string escape(std::string_view s);

@@ -447,6 +447,64 @@ TEST_F(SweepChaos, EvalFaultIsTypedAndTheSweepResumesCleanly)
     scrub(path);
 }
 
+TEST_F(SweepChaos, EvalFaultAfterTheFirstBlockKeepsTheBlocksBefore)
+{
+    // A fault on the third point of the second block, at one job: the
+    // output holds exactly the first block's lines, the cache every
+    // point evaluated before the fault, and the rerun the fresh bytes.
+    const std::size_t block = dse::kSweepBlockPoints;
+    const dse::SweepSpec spec = dse::SweepSpec::fromJson(parseJson(
+        R"({"name": "chaos-blocks", "base": {"workload": "streamcluster"},
+            "axes": [{"field": "tempK", "range":
+                {"from": 77, "to": 300, "steps": )" +
+            std::to_string(block + 40) + "}}]}",
+        "<spec>"));
+    const dse::PointEvaluator eval;
+    const std::string path = "/tmp/cryowire_chaos_sweep_blocks.jsonl";
+    scrub(path);
+
+    std::ostringstream fresh;
+    dse::runSweep(spec, eval, fresh);
+    std::string firstBlock;
+    {
+        std::istringstream in{fresh.str()};
+        std::string line;
+        for (std::size_t i = 0; i < block && std::getline(in, line); ++i)
+            firstBlock += line + '\n';
+    }
+
+    failpoint::arm("dse.eval",
+                   "nth(" + std::to_string(block + 3) + "):error");
+    dse::SweepOptions opts;
+    opts.jobs = 1;
+    opts.cachePath = path;
+    std::ostringstream wounded;
+    try {
+        dse::runSweep(spec, eval, wounded, opts);
+        FAIL() << "armed sweep must throw";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.message()).find("dse.eval"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(wounded.str(), firstBlock);
+    failpoint::disarmAll();
+    {
+        const dse::ResultCache cache{path};
+        EXPECT_EQ(cache.loadedEntries(), block + 2);
+        dse::PointMetrics m;
+        for (std::size_t i = 0; i < block + 2; ++i)
+            EXPECT_TRUE(cache.lookup(spec.point(i).hashHex(), &m)) << i;
+    }
+
+    dse::SweepStats resumed;
+    std::ostringstream rerun;
+    dse::runSweep(spec, eval, rerun, opts, &resumed);
+    EXPECT_EQ(rerun.str(), fresh.str());
+    EXPECT_EQ(resumed.cacheHits, block + 2);
+    EXPECT_EQ(resumed.evaluated, spec.pointCount() - block - 2);
+    scrub(path);
+}
+
 TEST_F(SweepChaos, QuarantinedRecordsSurfaceInSweepStats)
 {
     const dse::SweepSpec spec =

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -1026,22 +1027,94 @@ TEST(Pareto, ExtractsTheNonDominatedSet)
     EXPECT_EQ(rows, 3u);
 }
 
+/** The lines of the file at @p path, sorted bytewise. */
+std::vector<std::string>
+sortedLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::ifstream in{path};
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+TEST(SweepRunner, EveryBlockWritesTheLinesAndRecordsItsPointsFormat)
+{
+    // Two and a half blocks: lines and records cross two block
+    // boundaries and end in a partial block. At one job and at four,
+    // every result line is formatResultLine of its point and every
+    // cache record formatRecord of its point, whichever order the
+    // workers appended them in.
+    const std::size_t n = 2 * kSweepBlockPoints + kSweepBlockPoints / 2;
+    const SweepSpec spec = SweepSpec::fromJson(parseJson(
+        R"({"name": "blocks", "base": {"workload": "streamcluster"},
+            "axes": [{"field": "tempK", "range":
+                {"from": 77, "to": 300, "steps": )" +
+            std::to_string(n) + "}}]}",
+        "<spec>"));
+    ASSERT_EQ(spec.pointCount(), n);
+    const PointEvaluator eval;
+    std::string jobs1;
+    for (const int jobs : {1, 4}) {
+        const std::string path = "/tmp/cryowire_test_dse_blocks" +
+                                 std::to_string(jobs) + ".cache";
+        std::remove(path.c_str());
+        SweepOptions opts;
+        opts.jobs = jobs;
+        opts.cachePath = path;
+        std::ostringstream out;
+        const std::vector<EvaluatedPoint> points =
+            runSweep(spec, eval, out, opts);
+        ASSERT_EQ(points.size(), n);
+
+        std::string want;
+        std::vector<std::string> records;
+        for (const EvaluatedPoint &p : points) {
+            want += formatResultLine(p) + "\n";
+            records.push_back(
+                ResultCache::formatRecord(p.point.hashHex(), p.metrics));
+        }
+        std::sort(records.begin(), records.end());
+        EXPECT_EQ(out.str(), want) << jobs << " job(s)";
+        EXPECT_EQ(sortedLines(path), records) << jobs << " job(s)";
+        if (jobs == 1)
+            jobs1 = out.str();
+        else
+            EXPECT_EQ(out.str(), jobs1);
+        std::remove(path.c_str());
+    }
+}
+
 TEST(DseTest, Grid10kOutputIsPinned)
 {
     // The bytes `cryowire_sweep --spec examples/specs/dse_grid_10k.json
-    // --out F --pareto P` writes, as FNV-1a digests of the JSONL stream
-    // and the Pareto CSV: every metric of all 10,000 points, rendered
-    // through formatDouble.  Recorded before the critical-path hoist
-    // and the to_chars formatDouble; any change to the model's
-    // arithmetic or to the number rendering moves a digest.
+    // --out F --pareto P --cache C` writes, as FNV-1a digests of the
+    // JSONL stream, the Pareto CSV and the cache file with its lines
+    // sorted (workers append records as points complete): every
+    // metric of all 10,000 points, rendered through formatDouble. The
+    // JSONL and CSV digests were recorded before the critical-path
+    // hoist and the to_chars formatDouble, the cache digest before
+    // records spliced a metrics object rendered once; any change to
+    // the model's arithmetic or to the number rendering moves a digest.
     const SweepSpec spec = SweepSpec::load(
         CRYOWIRE_SOURCE_DIR "/examples/specs/dse_grid_10k.json");
     ASSERT_EQ(spec.pointCount(), 10000u);
     const PointEvaluator eval;
+    const std::string cachePath = "/tmp/cryowire_test_dse_grid10k.cache";
+    std::remove(cachePath.c_str());
+    SweepOptions opts;
+    opts.cachePath = cachePath;
     std::ostringstream jsonl;
-    const std::vector<EvaluatedPoint> points = runSweep(spec, eval, jsonl);
+    const std::vector<EvaluatedPoint> points =
+        runSweep(spec, eval, jsonl, opts);
     std::ostringstream csv;
     writeParetoCsv(csv, points, paretoFrontier(points));
+    std::string cache;
+    for (const std::string &record : sortedLines(cachePath))
+        cache += record + '\n';
+    std::remove(cachePath.c_str());
 
     const auto digestOf = [](const std::string &bytes) {
         Fnv1a h;
@@ -1053,6 +1126,7 @@ TEST(DseTest, Grid10kOutputIsPinned)
     };
     EXPECT_EQ(digestOf(jsonl.str()), "0xf352f09b95bef763");
     EXPECT_EQ(digestOf(csv.str()), "0xcad2537cee8bd7f4");
+    EXPECT_EQ(digestOf(cache), "0x96b818c6c260bd77");
 }
 
 } // namespace

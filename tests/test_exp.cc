@@ -663,6 +663,33 @@ TEST(ExpTest, Fig23ReadsTheContextsOwnBuilder)
     EXPECT_EQ(metricValue(r, "mean-cryosp-cryobus"), mean(4));
 }
 
+TEST(ExpTest, Tables3And4ReadTheContextsOwnBuilder)
+{
+    // At a non-default floorplan, Tables 3 and 4 clock CryoSP as the
+    // Context's own builder does, not as a default-floorplan
+    // designer would.
+    dse::DesignPoint point;
+    point.floorplanScale = 1.3;
+    const Context ctx{point};
+    const sys::SystemDesign cryoSp = ctx.builder().cryoSpMesh77();
+    const double cryoSpGhz = cryoSp.core.frequency / 1e9;
+
+    const Experiment *t3 = Registry::builtins().find("table3-core-configs");
+    ASSERT_NE(t3, nullptr);
+    ExperimentResult r3;
+    t3->run(ctx, r3);
+    EXPECT_EQ(metricValue(r3, "f/77K CryoSP"), cryoSpGhz);
+
+    const Experiment *t4 = Registry::builtins().find("table4-eval-setup");
+    ASSERT_NE(t4, nullptr);
+    ExperimentResult r4;
+    t4->run(ctx, r4);
+    const Table &systems = r4.tables().front();
+    ASSERT_GE(systems.rows().size(), 3u);
+    EXPECT_EQ(systems.rows()[2][0], cryoSp.name);
+    EXPECT_EQ(systems.rows()[2][2], Table::num(cryoSpGhz, 2) + " GHz");
+}
+
 TEST(ExpTest, Fig27EqualsItsSweepSpec)
 {
     // examples/specs/fig27_temperature.json sweeps the design points

@@ -525,7 +525,7 @@ printfFormatDouble(double value, int *precision)
 
 TEST(JsonTest, FormatDoubleMatchesPrintfReference)
 {
-    // Byte equality with the printf/strtod rendering over ~2.05M
+    // Byte equality with the printf/strtod rendering over ~2.16M
     // doubles: every JSON, CSV and cache record prints through
     // formatDouble, so one differing digit would move every pinned
     // output.
@@ -604,7 +604,48 @@ TEST(JsonTest, FormatDoubleMatchesPrintfReference)
             values.push_back(std::strtod(text, nullptr));
         }
     }
-    ASSERT_GE(values.size(), 2'000'000u);
+    // Ties: values whose exact decimal expansion ends in a 5 one place
+    // after the 15th, 16th or 17th significant digit, exactly halfway
+    // between two decimals of that length, so the rendering must break
+    // the tie to even as printf does. An integer n in [2^40, 2^57) plus
+    // an odd multiple of 2^-j (a multiple of n's ULP) ends in that 5 at
+    // digit digits(n) + j; with no fractional bits to spare, n itself
+    // ends in 5 and zeros, where its ULP allows. Both signs, scaled by
+    // 2^k: the same significands in other binades.
+    const auto decimalDigits = [](std::uint64_t n) {
+        int d = 0;
+        for (; n != 0; n /= 10)
+            ++d;
+        return d;
+    };
+    const std::size_t ties = values.size();
+    while (values.size() - ties < 100'000) {
+        const int binade = 40 + static_cast<int>(gen() % 17);
+        const std::uint64_t top = std::uint64_t{1} << binade;
+        std::uint64_t n = top | (gen() & (top - 1));
+        const int last = 16 + static_cast<int>(gen() % 3); // the 5
+        const int j = last - decimalDigits(n);
+        double tie = 0.0;
+        if (j >= 1) {
+            if (j > 52 - binade)
+                continue; // finer than the binade's ULP
+            const std::uint64_t c = (gen() & ((1ull << j) - 1)) | 1;
+            tie = static_cast<double>(n) + std::ldexp(double(c), -j);
+        } else {
+            std::uint64_t unit = 1; // 10^(digits(n) - last)
+            for (int i = j; i < 0; ++i)
+                unit *= 10;
+            n = n / (10 * unit) * (10 * unit) + 5 * unit;
+            tie = static_cast<double>(n);
+            if (static_cast<std::uint64_t>(tie) != n)
+                continue; // not on the binade's grid
+        }
+        for (const int k : {-60, -20, 0, 30, 100}) {
+            values.push_back(std::ldexp(tie, k));
+            values.push_back(-std::ldexp(tie, k));
+        }
+    }
+    ASSERT_GE(values.size(), 2'100'000u);
 
     // The reference costs a few microseconds a value, so the values
     // are checked on the pool; each verdict is a function of its
@@ -809,8 +850,10 @@ TEST(Json, MisuseIsFatal)
     std::ostringstream os;
     JsonWriter w{os, 0};
     w.beginObject();
-    // A value inside an object requires a key first.
+    // A value inside an object requires a key first, a spliced one
+    // too.
     EXPECT_THROW(w.value(1.0), FatalError);
+    EXPECT_THROW(w.raw("1"), FatalError);
 }
 
 TEST(JsonParse, ScalarsAndNesting)
