@@ -74,6 +74,9 @@ run(const RunOptions &opts)
             fatalIf(!out.is_open(),
                     "cannot open JSON output file: " + opts.jsonPath);
             writeJson(out, records, opts.seed);
+            out.close();
+            fatalIf(!out, "I/O error writing JSON output file: " +
+                              opts.jsonPath);
         }
         if (!opts.csvDir.empty()) {
             for (const RunRecord &rec : records)

@@ -8,13 +8,11 @@
  * way to observe queueing collapse and admission-control shedding
  * (a closed-loop client self-throttles and hides both).
  *
- * Three arrival patterns, all integrating an instantaneous-rate
+ * Two arrival patterns, both integrating an instantaneous-rate
  * function into deterministic send times:
  *   steady   constant rate,
- *   bursty   5x the rate for the first 20%% of every second, idle
- *            otherwise (same mean),
- *   diurnal  one sinusoidal swing of +/-80%% over the run (a day's
- *            traffic compressed into the duration).
+ *   bursty   5x the rate for the first 20% of every second, idle
+ *            otherwise (same mean).
  *
  * Client-observed latency (send to reply, including server queueing)
  * is recorded per reply and reported as a cryowire-bench/1 JSON
@@ -74,18 +72,11 @@ struct CliOptions
 double
 rateAt(const CliOptions &cli, double tS)
 {
-    const double durationS =
-        static_cast<double>(cli.durationMs) / 1000.0;
     if (cli.pattern == "bursty") {
         // 5x rate for the first fifth of every second: same mean,
         // much harder on the admission queue.
         const double phase = tS - std::floor(tS);
         return phase < 0.2 ? cli.rate * 5.0 : 0.0;
-    }
-    if (cli.pattern == "diurnal") {
-        const double swing =
-            std::sin(2.0 * 3.14159265358979323846 * tS / durationS);
-        return cli.rate * (1.0 + 0.8 * swing);
     }
     return cli.rate;
 }
@@ -395,42 +386,44 @@ run(const CliOptions &cli)
     if (!cli.json.empty()) {
         std::ofstream out{cli.json};
         fatalIf(!out, "cannot write \"" + cli.json + "\"");
-        JsonWriter w{out};
-        w.beginObject();
-        w.key("schema").value("cryowire-bench/1");
-        w.key("suite").value("serve_loadgen");
-        w.key("unit").value("ns/op");
-        w.key("kernels").beginArray();
-        const auto kernel = [&w, replies](const std::string &name,
-                                          double nsOp) {
+        {
+            JsonWriter w{out}; // its destructor writes the final newline
             w.beginObject();
-            w.key("name").value(name);
-            w.key("ops").value(replies);
-            w.key("scalar_ns_op").value(nsOp);
-            w.key("batch_ns_op").null();
-            w.key("speedup").null();
+            w.key("schema").value("cryowire-bench/1");
+            w.key("suite").value("serve_loadgen");
+            w.key("unit").value("ns/op");
+            w.key("kernels").beginArray();
+            const auto kernel = [&w, replies](const std::string &name,
+                                              double nsOp) {
+                w.beginObject();
+                w.key("name").value(name);
+                w.key("ops").value(replies);
+                w.key("scalar_ns_op").value(nsOp);
+                w.key("batch_ns_op").null();
+                w.key("speedup").null();
+                w.endObject();
+            };
+            kernel(cli.pattern + "_latency_p50",
+                   clientUs.percentile(0.50) * 1000.0);
+            kernel(cli.pattern + "_latency_p99",
+                   clientUs.percentile(0.99) * 1000.0);
+            kernel(cli.pattern + "_service_time",
+                   serviceUs.percentile(0.50) * 1000.0);
+            w.endArray();
+            w.key("issued").value(issued);
+            w.key("replies").value(replies);
+            w.key("ok").value(ok);
+            w.key("errors").value(errors);
+            w.key("failed").value(failed);
+            w.key("overloaded").value(overloaded);
+            w.key("expired").value(expired);
+            w.key("cache_hits").value(cacheHits);
+            w.key("deduped").value(deduped);
+            if (cli.verify)
+                w.key("verify_mismatches").value(mismatches);
             w.endObject();
-        };
-        kernel(cli.pattern + "_latency_p50",
-               clientUs.percentile(0.50) * 1000.0);
-        kernel(cli.pattern + "_latency_p99",
-               clientUs.percentile(0.99) * 1000.0);
-        kernel(cli.pattern + "_service_time",
-               serviceUs.percentile(0.50) * 1000.0);
-        w.endArray();
-        w.key("issued").value(issued);
-        w.key("replies").value(replies);
-        w.key("ok").value(ok);
-        w.key("errors").value(errors);
-        w.key("failed").value(failed);
-        w.key("overloaded").value(overloaded);
-        w.key("expired").value(expired);
-        w.key("cache_hits").value(cacheHits);
-        w.key("deduped").value(deduped);
-        if (cli.verify)
-            w.key("verify_mismatches").value(mismatches);
-        w.endObject();
-        out << "\n";
+        }
+        out.close();
         fatalIf(!out, "I/O error writing \"" + cli.json + "\"");
     }
 
@@ -456,7 +449,7 @@ main(int argc, char **argv)
             cli::text("--socket", "PATH", &opts.socket,
                       "daemon socket to connect to"),
             cli::choice("--pattern", "P", &opts.pattern,
-                        {"steady", "bursty", "diurnal"},
+                        {"steady", "bursty"},
                         "arrival pattern"),
             cli::number("--rate", "R", &opts.rate, 1e-3, 1e6,
                         "mean offered load [requests/s]"),

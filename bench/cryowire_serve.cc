@@ -52,9 +52,11 @@ writeStatsJson(const std::string &path, Server &server)
 {
     std::ofstream out{path};
     fatalIf(!out, "cannot write stats to \"" + path + "\"");
-    JsonWriter w{out};
-    server.serverStats().writeJson(w);
-    out << "\n";
+    {
+        JsonWriter w{out}; // its destructor writes the final newline
+        server.serverStats().writeJson(w);
+    }
+    out.close();
     fatalIf(!out, "I/O error writing \"" + path + "\"");
 }
 

@@ -61,6 +61,8 @@ writePareto(const std::string &path,
     std::ofstream out{path};
     fatalIf(!out, "cannot open Pareto output \"" + path + "\"");
     writeParetoCsv(out, points, frontier);
+    out.close();
+    fatalIf(!out, "I/O error writing \"" + path + "\"");
 }
 
 int

@@ -178,33 +178,40 @@ class Harness
                       << "\n";
             return 1;
         }
-        JsonWriter w{out};
-        w.beginObject();
-        w.key("schema").value("cryowire-bench/1");
-        w.key("suite").value(suite_);
-        w.key("unit").value("ns/op");
-        w.key("kernels").beginArray();
-        for (const auto &r : rows_) {
+        {
+            JsonWriter w{out}; // its destructor writes the final newline
             w.beginObject();
-            w.key("name").value(r.name);
-            w.key("ops").value(static_cast<std::uint64_t>(r.ops));
-            w.key("scalar_ns_op").value(r.scalarNsOp);
-            w.key("batch_ns_op");
-            if (r.batchNsOp)
-                w.value(*r.batchNsOp);
-            else
-                w.null();
-            w.key("speedup");
-            if (r.batchNsOp)
-                w.value(r.scalarNsOp / *r.batchNsOp);
-            else
-                w.null();
+            w.key("schema").value("cryowire-bench/1");
+            w.key("suite").value(suite_);
+            w.key("unit").value("ns/op");
+            w.key("kernels").beginArray();
+            for (const auto &r : rows_) {
+                w.beginObject();
+                w.key("name").value(r.name);
+                w.key("ops").value(static_cast<std::uint64_t>(r.ops));
+                w.key("scalar_ns_op").value(r.scalarNsOp);
+                w.key("batch_ns_op");
+                if (r.batchNsOp)
+                    w.value(*r.batchNsOp);
+                else
+                    w.null();
+                w.key("speedup");
+                if (r.batchNsOp)
+                    w.value(r.scalarNsOp / *r.batchNsOp);
+                else
+                    w.null();
+                w.endObject();
+            }
+            w.endArray();
             w.endObject();
         }
-        w.endArray();
-        w.endObject();
-        out << "\n";
-        return out.good() ? 0 : 1;
+        out.close();
+        if (!out) {
+            std::cerr << suite_ << ": I/O error writing " << jsonPath_
+                      << "\n";
+            return 1;
+        }
+        return 0;
     }
 
   private:

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/system_builder.hh"
 #include "pipeline/floorplan.hh"
 #include "power/mcpat_lite.hh"
 #include "sys/interval_sim.hh"
@@ -259,21 +258,14 @@ PointMetrics::appendCsv(std::vector<std::string> &cells) const
     }
 }
 
-struct PointEvaluator::Family
+ModelStack::ModelStack(std::shared_ptr<const tech::Technology> technology,
+                       const DesignPoint &point)
+    : tech(std::move(technology)),
+      builder(*tech, point.cores,
+              pipeline::Floorplan::skylakeLike().scaled(
+                  point.floorplanScale))
 {
-    Family(std::shared_ptr<const tech::Technology> technology,
-           const DesignPoint &p)
-        : tech(std::move(technology)),
-          builder(*tech, p.cores,
-                  pipeline::Floorplan::skylakeLike().scaled(
-                      p.floorplanScale))
-    {
-    }
-
-    /** Declared before the builder, which holds a reference into it. */
-    std::shared_ptr<const tech::Technology> tech;
-    core::SystemBuilder builder;
-};
+}
 
 PointEvaluator::PointEvaluator() = default;
 PointEvaluator::~PointEvaluator() = default;
@@ -306,30 +298,29 @@ PointEvaluator::technologyFor(const DesignPoint &point) const
     return tech;
 }
 
-std::shared_ptr<const PointEvaluator::Family>
-PointEvaluator::familyFor(const DesignPoint &point) const
+std::shared_ptr<const ModelStack>
+PointEvaluator::stackFor(const DesignPoint &point) const
 {
     const std::uint64_t key = familyKey(point);
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = familyCache_.find(key);
-        if (it != familyCache_.end())
+        auto it = stackCache_.find(key);
+        if (it != stackCache_.end())
             return it->second;
     }
 
     // Build outside the lock (technologyFor takes it). When threads
     // race on a cold family the first insert wins and every caller
     // gets that one, so a family never holds two builders.
-    auto family =
-        std::make_shared<const Family>(technologyFor(point), point);
+    auto stack =
+        std::make_shared<const ModelStack>(technologyFor(point), point);
     std::lock_guard<std::mutex> lock(mu_);
-    return familyCache_.try_emplace(key, std::move(family))
-        .first->second;
+    return stackCache_.try_emplace(key, std::move(stack)).first->second;
 }
 
 double
 PointEvaluator::baselinePerf(const DesignPoint &point,
-                             const Family &family) const
+                             const ModelStack &stack) const
 {
     const std::uint64_t key = baselineKey(point);
     {
@@ -345,7 +336,7 @@ PointEvaluator::baselinePerf(const DesignPoint &point,
     const sys::IntervalSimulator sim;
     const auto suite = suiteFor(point);
     const auto results =
-        sim.runSuite(family.builder.baseline300Mesh(), suite);
+        sim.runSuite(stack.builder.baseline300Mesh(), suite);
     double perf = 0.0;
     for (const sys::SimResult &r : results)
         perf += r.perf();
@@ -361,8 +352,8 @@ PointEvaluator::evaluate(const DesignPoint &point) const
     CRYO_FAILPOINT("dse.eval");
     point.validate();
 
-    const auto family = familyFor(point);
-    const core::SystemBuilder &builder = family->builder;
+    const auto stack = stackFor(point);
+    const core::SystemBuilder &builder = stack->builder;
     const sys::SystemDesign design = designFor(builder, point);
     const auto suite = suiteFor(point);
 
@@ -381,13 +372,13 @@ PointEvaluator::evaluate(const DesignPoint &point) const
     const double n = static_cast<double>(results.size());
     m.utilization /= n;
     m.saturatedShare = static_cast<double>(saturated) / n;
-    m.perf = perf / baselinePerf(point, *family);
+    m.perf = perf / baselinePerf(point, *stack);
     m.freqGhz = design.core.frequency / 1e9;
 
     // Fig. 27 power accounting: activity follows frequency
     // (iso_activity=false), normalized to the same-technology 300 K
     // baseline core.
-    const power::McpatLite mcpat{*family->tech, /*iso_activity=*/false};
+    const power::McpatLite mcpat{*stack->tech, /*iso_activity=*/false};
     const auto p = mcpat.corePower(design.core,
                                    builder.cores().baseline300());
     m.devicePower = p.device();

@@ -13,7 +13,7 @@
  * speed-up axis.
  *
  * The evaluator memoizes the expensive invariants behind a mutex:
- * Technology instances, one SystemBuilder per technology family
+ * Technology instances, one ModelStack per technology family
  * (technology axes, core count, floorplan scale) whose core designer
  * keeps the family's CryoSP and 300 K baseline cores, and baseline
  * suite performance. The caches affect cost only, never results, so
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/system_builder.hh"
 #include "dse/design_point.hh"
 #include "tech/technology.hh"
 #include "util/json.hh"
@@ -114,6 +115,22 @@ std::shared_ptr<const tech::Technology>
 makeTechnology(const DesignPoint &point);
 
 /**
+ * A design point's model stack: its Technology and the one
+ * SystemBuilder over it, at the point's core count and
+ * Floorplan::skylakeLike().scaled(floorplanScale). The evaluator
+ * shares one per technology family, and exp::Context holds one.
+ */
+struct ModelStack
+{
+    ModelStack(std::shared_ptr<const tech::Technology> technology,
+               const DesignPoint &point);
+
+    /** Declared before the builder, which holds a reference into it. */
+    std::shared_ptr<const tech::Technology> tech;
+    core::SystemBuilder builder;
+};
+
+/**
  * Evaluates design points. One instance may serve any number of
  * threads concurrently.
  */
@@ -134,9 +151,6 @@ class PointEvaluator
     PointMetrics evaluate(const DesignPoint &point) const;
 
   private:
-    /** A Technology and the SystemBuilder over it. */
-    struct Family;
-
     /**
      * The Technology for the point's node/device axes, shared and
      * immutable (memoized per distinct axis combination).
@@ -145,20 +159,22 @@ class PointEvaluator
     technologyFor(const DesignPoint &point) const;
 
     /**
-     * The family of the point's technology axes, core count and
-     * floorplan scale, shared by every point of it (memoized).
+     * The stack of the point's technology axes, core count and
+     * floorplan scale, shared by every point of that family
+     * (memoized).
      */
-    std::shared_ptr<const Family> familyFor(const DesignPoint &point) const;
+    std::shared_ptr<const ModelStack>
+    stackFor(const DesignPoint &point) const;
 
     double baselinePerf(const DesignPoint &point,
-                        const Family &family) const;
+                        const ModelStack &stack) const;
 
     mutable std::mutex mu_;
     mutable std::map<std::uint64_t,
                      std::shared_ptr<const tech::Technology>>
         techCache_;
-    mutable std::map<std::uint64_t, std::shared_ptr<const Family>>
-        familyCache_;
+    mutable std::map<std::uint64_t, std::shared_ptr<const ModelStack>>
+        stackCache_;
     mutable std::map<std::uint64_t, double> baselineCache_;
 };
 

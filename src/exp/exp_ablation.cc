@@ -35,9 +35,7 @@ runVoltage(const Context &ctx, ExperimentResult &r)
 {
     using namespace cryo::core;
 
-    pipeline::CriticalPathModel model{
-        ctx.technology(), pipeline::Floorplan::skylakeLike()};
-    VoltageOptimizer opt{ctx.technology(), model};
+    VoltageOptimizer opt{ctx.technology(), ctx.builder().cores().model()};
     const auto base = ctx.builder().cores().baseline300();
     const auto core = ctx.builder().cores().superpipelineCryoCore77();
 
@@ -152,8 +150,7 @@ runSuperpipeline(const Context &ctx, ExperimentResult &r)
 {
     using namespace cryo::pipeline;
 
-    CriticalPathModel model{ctx.technology(),
-                            Floorplan::skylakeLike()};
+    const CriticalPathModel &model = ctx.builder().cores().model();
     IpcModel ipc;
     const auto baseline = boomSkylakeStages();
 
@@ -221,7 +218,7 @@ runSuperpipeline(const Context &ctx, ExperimentResult &r)
 void
 runBusDesign(const Context &ctx, ExperimentResult &r)
 {
-    noc::NocDesigner designer{ctx.technology()};
+    const noc::NocDesigner &designer = ctx.builder().nocs();
 
     int cryobus_broadcast = 0;
     Table &t = r.table({"design", "max hops", "hops/cycle",

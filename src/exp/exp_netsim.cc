@@ -44,7 +44,7 @@ constexpr double kFig18Rates[] = {0.0005, 0.001, 0.002, 0.003,
 std::vector<Fig18Design>
 fig18Designs(const Context &ctx)
 {
-    noc::NocDesigner designer{ctx.technology()};
+    const noc::NocDesigner &designer = ctx.builder().nocs();
     return {{busSpec(designer.sharedBus300()), 0.02, 0.0002},
             {busSpec(designer.sharedBus77()), 0.03, 0.0003}};
 }
@@ -133,7 +133,7 @@ constexpr std::size_t kFig21CellsPerDesign = 5;
 std::vector<Fig21Design>
 fig21Designs(const Context &ctx)
 {
-    noc::NocDesigner designer{ctx.technology()};
+    const noc::NocDesigner &designer = ctx.builder().nocs();
     std::vector<Fig21Design> designs;
     auto add_router = [&](const noc::NocConfig &cfg) {
         designs.push_back({cfg.name(), routerSpec(cfg),
@@ -237,7 +237,7 @@ constexpr std::pair<const char *, TrafficPattern> kFig25Patterns[] = {
 std::vector<Fig25Design>
 fig25Designs(const Context &ctx)
 {
-    noc::NocDesigner designer{ctx.technology()};
+    const noc::NocDesigner &designer = ctx.builder().nocs();
     return {
         {"Mesh (3c)", routerSpec(designer.mesh(77.0, 3)),
          designer.mesh(77.0, 3).clockFreq() / 4.0e9,
@@ -317,7 +317,8 @@ runFig25(const Context &ctx, ExperimentResult &r)
 
     r.anchored("cryobus-uniform-saturation", cb_uniform, 0.0164, 0.1,
                "req/node/cyc");
-    // Pattern-insensitivity: hotspot within 10% of uniform.
+    // Hotspot saturation is held to the same 0.0164 +/- 10% anchor as
+    // uniform; the two measurements are not compared with each other.
     r.anchored("cryobus-hotspot-saturation", cb_hotspot, 0.0164, 0.1,
                "req/node/cyc");
     // At hotspot, 2-way CryoBus matches the best router NoC.

@@ -27,7 +27,7 @@ using cryo::mem::MemorySystem;
 void
 runFig16(const Context &ctx, ExperimentResult &r)
 {
-    noc::NocDesigner designer{ctx.technology()};
+    const noc::NocDesigner &designer = ctx.builder().nocs();
 
     struct Row
     {
@@ -89,7 +89,7 @@ runFig16(const Context &ctx, ExperimentResult &r)
 void
 runFig20(const Context &ctx, ExperimentResult &r)
 {
-    noc::NocDesigner designer{ctx.technology()};
+    const noc::NocDesigner &designer = ctx.builder().nocs();
 
     Table &t = r.table({"design", "request", "arb", "grant", "control",
                         "broadcast", "total", "occupancy"});
@@ -131,7 +131,7 @@ runFig20(const Context &ctx, ExperimentResult &r)
 void
 runFig22(const Context &ctx, ExperimentResult &r)
 {
-    noc::NocDesigner designer{ctx.technology()};
+    const noc::NocDesigner &designer = ctx.builder().nocs();
     power::OrionLite orion{ctx.technology()};
 
     const double ref = orion.power(designer.mesh300()).total();

@@ -26,7 +26,7 @@ using namespace cryo::pipeline;
 void
 runFig02(const Context &ctx, ExperimentResult &r)
 {
-    CriticalPathModel model{ctx.technology(), Floorplan::skylakeLike()};
+    const CriticalPathModel &model = ctx.builder().cores().model();
 
     Table &t = r.table({"stage", "total (norm)", "transistor", "wire",
                         "wire share"});
@@ -56,7 +56,7 @@ runFig02(const Context &ctx, ExperimentResult &r)
 void
 runFig12(const Context &ctx, ExperimentResult &r)
 {
-    CriticalPathModel model{ctx.technology(), Floorplan::skylakeLike()};
+    const CriticalPathModel &model = ctx.builder().cores().model();
     const auto stages = boomSkylakeStages();
 
     Table &t =
@@ -93,7 +93,7 @@ runFig12(const Context &ctx, ExperimentResult &r)
 void
 runFig13(const Context &ctx, ExperimentResult &r)
 {
-    CriticalPathModel model{ctx.technology(), Floorplan::skylakeLike()};
+    const CriticalPathModel &model = ctx.builder().cores().model();
     const auto stages = boomSkylakeStages();
 
     Table &t = r.table({"stage", "300K", "77K", "reduction"});
@@ -126,7 +126,7 @@ runFig13(const Context &ctx, ExperimentResult &r)
 void
 runFig14(const Context &ctx, ExperimentResult &r)
 {
-    CriticalPathModel model{ctx.technology(), Floorplan::skylakeLike()};
+    const CriticalPathModel &model = ctx.builder().cores().model();
     Superpipeliner sp{model};
     const auto baseline = boomSkylakeStages();
     const auto plan = sp.plan(baseline, constants::ln2Temp);
@@ -182,9 +182,9 @@ runFig14(const Context &ctx, ExperimentResult &r)
 
 /** Table 1: floorplan-derived forwarding wire. */
 void
-runTable1(const Context &, ExperimentResult &r)
+runTable1(const Context &ctx, ExperimentResult &r)
 {
-    const Floorplan fp = Floorplan::skylakeLike();
+    const Floorplan &fp = ctx.builder().cores().floorplan();
 
     Table &t = r.table({"unit", "area (um^2)", "width (um)",
                         "height (um)"});

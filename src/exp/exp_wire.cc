@@ -116,7 +116,7 @@ runFig09(const Context &ctx, ExperimentResult &r)
     using namespace cryo::pipeline;
 
     const tech::Technology &technology = ctx.technology();
-    CriticalPathModel model{technology, Floorplan::skylakeLike()};
+    const CriticalPathModel &model = ctx.builder().cores().model();
     const auto stages = boomSkylakeStages();
     const double pipe_model =
         model.frequency(stages, constants::validationTemp) /

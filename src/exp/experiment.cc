@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "dse/point_eval.hh"
-#include "pipeline/floorplan.hh"
 #include "util/diag.hh"
 
 namespace cryo::exp
@@ -84,10 +82,9 @@ validated(const dse::DesignPoint &point)
 Context::Context(std::uint64_t seed) : Context(pointWithSeed(seed)) {}
 
 Context::Context(const dse::DesignPoint &point)
-    : point_(validated(point)), tech_(dse::makeTechnology(point_)),
-      builder_(*tech_, point_.cores,
-               pipeline::Floorplan::skylakeLike().scaled(
-                   point_.floorplanScale))
+    : point_(validated(point)),
+      stack_(std::make_shared<const dse::ModelStack>(
+          dse::makeTechnology(point_), point_))
 {
 }
 

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "core/system_builder.hh"
-#include "dse/design_point.hh"
+#include "dse/point_eval.hh"
 #include "netsim/cell.hh"
 #include "netsim/traffic.hh"
 #include "sys/interval_sim.hh"
@@ -164,18 +164,17 @@ class CellTable
 /**
  * Shared, immutable model stack handed to every experiment - a pure
  * function of one dse::DesignPoint. The point selects the technology
- * corner, core count, floorplan scale, and seed; the derived
- * Technology, the one SystemBuilder over it and the IntervalSimulator
- * are stateless after construction, so concurrent experiments may
- * consume one Context freely. A hook that evaluates design points
- * (Fig. 27) builds them from point(). The runner's Context also
- * carries the netsim cell results its pool produced (measure()).
+ * corner, core count, floorplan scale, and seed. Hooks read their
+ * models from the point's dse::ModelStack through builder(); only a
+ * figure whose axis is the model itself (Fig. 26's 256-core designer,
+ * the floorplan and technology-node ablations) builds its own. A hook
+ * that evaluates design points (Fig. 27) builds them from point().
+ * The stack and the IntervalSimulator are thread-safe, so concurrent
+ * experiments may consume one Context freely. The runner's Context
+ * also carries the netsim cell results its pool produced (measure()).
  *
- * Contexts are cheap values: the Technology lives behind a shared
- * const pointer, so copies share it and a copy costs one small object
- * rebuild, not a technology re-derivation. Copying is safe because
- * the builder references the *shared* Technology, which every copy
- * keeps alive.
+ * Contexts are cheap values: copies (withCells) share the stack and
+ * the cores its builder memoized.
  */
 class Context
 {
@@ -189,8 +188,8 @@ class Context
     const dse::DesignPoint &point() const { return point_; }
     std::uint64_t seed() const { return point_.seed; }
 
-    const tech::Technology &technology() const { return *tech_; }
-    const core::SystemBuilder &builder() const { return builder_; }
+    const tech::Technology &technology() const { return *stack_->tech; }
+    const core::SystemBuilder &builder() const { return stack_->builder; }
     const sys::IntervalSimulator &simulator() const { return sim_; }
 
     /** Base traffic spec carrying this run's seed. */
@@ -213,9 +212,7 @@ class Context
 
   private:
     dse::DesignPoint point_;
-    /** Declared before the members that hold references into it. */
-    std::shared_ptr<const tech::Technology> tech_;
-    core::SystemBuilder builder_;
+    std::shared_ptr<const dse::ModelStack> stack_;
     sys::IntervalSimulator sim_;
     std::shared_ptr<const CellTable> cells_; ///< null: none pooled
 };

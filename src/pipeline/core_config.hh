@@ -117,16 +117,13 @@ class CoreDesigner
     /**
      * One design, built by the first call that asks for it and kept.
      * A racing caller waits for that build; a build that throws
-     * leaves the memo empty, so the next call throws again. A copied
-     * designer starts with empty memos.
+     * leaves the memo empty, so the next call throws again. It holds a
+     * mutex, so neither it nor a designer can be copied: consumers
+     * share one designer, and its designs, by reference.
      */
     class Memo
     {
       public:
-        Memo() = default;
-        Memo(const Memo &) {}
-        Memo &operator=(const Memo &) = delete;
-
         template <typename Build>
         const CoreConfig &get(Build &&build)
         {

@@ -10,19 +10,29 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
+#include "core/voltage_optimizer.hh"
 #include "dse/sweep_runner.hh"
 #include "exp/registry.hh"
 #include "exp/runner.hh"
 #include "exp/sinks.hh"
+#include "mem/memory_system.hh"
+#include "pipeline/ipc_model.hh"
+#include "pipeline/stage_library.hh"
+#include "pipeline/superpipeline.hh"
+#include "power/orion_lite.hh"
 #include "sys/interval_sim.hh"
 #include "sys/workload.hh"
 #include "util/diag.hh"
 #include "util/failpoint.hh"
 #include "util/hash.hh"
+#include "util/json.hh"
 
 namespace cryo::exp
 {
@@ -688,6 +698,123 @@ TEST(ExpTest, Tables3And4ReadTheContextsOwnBuilder)
     ASSERT_GE(systems.rows().size(), 3u);
     EXPECT_EQ(systems.rows()[2][0], cryoSp.name);
     EXPECT_EQ(systems.rows()[2][2], Table::num(cryoSpGhz, 2) + " GHz");
+}
+
+TEST(ExpTest, HooksReadTheContextsOwnModelStack)
+{
+    // A Context built from a non-default point has one model stack:
+    // each hook reports that point's floorplan, core count and NoCs,
+    // not those of a default-point model of its own. Each case
+    // recomputes one reported number from ctx.builder(). (Figs. 2, 9
+    // and 12 read the same at this point from either stack; Fig. 23
+    // and Tables 3 and 4 have tests of their own above.)
+    dse::DesignPoint point;
+    point.cores = 16;
+    point.floorplanScale = 1.3;
+    const Context ctx{point};
+    const pipeline::CoreDesigner &cores = ctx.builder().cores();
+    const pipeline::CriticalPathModel &model = cores.model();
+    const noc::NocDesigner &nocs = ctx.builder().nocs();
+
+    const auto stages = pipeline::boomSkylakeStages();
+    const auto d77 = model.stageDelays(stages, constants::ln2Temp);
+    std::size_t bypass = 0; // a forwarding stage, whose wire scales
+    while (d77.at(bypass).name != "execute bypass")
+        ++bypass;
+    const double max300 = model.maxDelay(stages, constants::roomTemp);
+    const auto plan =
+        pipeline::Superpipeliner{model}.plan(stages, constants::ln2Temp);
+    const double netGain77 =
+        model.frequency(plan.result, constants::ln2Temp) /
+        model.frequency(stages, constants::ln2Temp) *
+        pipeline::IpcModel{}.frontendDeepeningFactor(plan.addedStages);
+    core::VoltageConstraints budget;
+    budget.totalPowerBudget = 1.30;
+    const double paperPointGhz =
+        core::VoltageOptimizer{ctx.technology(), model}
+            .evaluate(cores.superpipelineCryoCore77(), cores.baseline300(),
+                      77.0, {0.64, 0.25}, budget)
+            .frequency /
+        1e9;
+    const power::OrionLite orion{ctx.technology()};
+
+    using Reported = std::function<std::string(const ExperimentResult &)>;
+    const auto metric = [](std::string name) -> Reported {
+        return [name](const ExperimentResult &r) {
+            return formatDouble(metricValue(r, name));
+        };
+    };
+    const auto cell = [](std::size_t table, std::size_t row,
+                         std::size_t col) -> Reported {
+        return [=](const ExperimentResult &r) {
+            return r.tables().at(table).rows().at(row).at(col);
+        };
+    };
+    struct Case
+    {
+        std::string experiment;
+        Reported reported;
+        std::string want;
+    };
+    const Case cases[] = {
+        {"fig13-critical-path-77k", cell(0, bypass, 2),
+         Table::num(d77[bypass].total())},
+        {"fig14-superpipelined", metric("freq-gain-vs-300k"),
+         formatDouble(max300 /
+                          model.maxDelay(plan.result, constants::ln2Temp) -
+                      1.0)},
+        {"table1-floorplan", metric("forwarding-wire-um"),
+         formatDouble(cores.floorplan().forwardingWireLength().value() *
+                      1e6)},
+        {"fig16-llc-latency", metric("mesh77-hit-noc-share"),
+         formatDouble(mem::MemorySystem{mem::MemTiming::at77(),
+                                        nocs.mesh77()}
+                          .l3Hit()
+                          .nocShare())},
+        {"fig20-bus-latency-breakdown", cell(0, 0, 6),
+         std::to_string(nocs.sharedBus300().busBreakdown().total())},
+        {"fig22-noc-power", metric("mesh77-total"),
+         formatDouble(orion.power(nocs.mesh77()).total() /
+                      orion.power(nocs.mesh300()).total())},
+        {"ablation-voltage", metric("paper-point-freq-ghz"),
+         formatDouble(paperPointGhz)},
+        {"ablation-superpipeline", metric("net-gain-77k"),
+         formatDouble(netGain77)},
+        {"ablation-bus-design", cell(1, 0, 1),
+         Table::num(sys::IntervalSimulator::saturationTxRate(
+                        nocs.cryoBus(), 1),
+                    4)},
+    };
+    std::map<std::string, ExperimentResult> results;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.experiment);
+        auto it = results.find(c.experiment);
+        if (it == results.end()) {
+            const Experiment *e = Registry::builtins().find(c.experiment);
+            ASSERT_NE(e, nullptr);
+            it = results.emplace(c.experiment, ExperimentResult{}).first;
+            e->run(ctx, it->second);
+        }
+        EXPECT_EQ(c.reported(it->second), c.want);
+    }
+
+    // The netsim figures simulate the point's core count; Fig. 26's
+    // own axis is 256 cores.
+    const std::pair<const char *, int> netsimCases[] = {
+        {"fig18-bus-load-latency", point.cores},
+        {"fig21-noc-load-latency", point.cores},
+        {"fig25-traffic-patterns", point.cores},
+        {"fig26-hybrid-256core", 256}};
+    for (const auto &[name, nodes] : netsimCases) {
+        SCOPED_TRACE(name);
+        const Experiment *e = Registry::builtins().find(name);
+        ASSERT_NE(e, nullptr);
+        ASSERT_NE(e->cells, nullptr);
+        std::set<int> sizes;
+        for (const netsim::Cell &c : e->cells(ctx))
+            sizes.insert(netsim::buildNetwork(c.network)->nodes());
+        EXPECT_EQ(sizes, std::set<int>{nodes});
+    }
 }
 
 TEST(ExpTest, Fig27EqualsItsSweepSpec)
