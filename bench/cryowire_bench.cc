@@ -8,14 +8,14 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/runner.hh"
 #include "util/cli.hh"
-#include "util/diag.hh"
+#include "util/output.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
@@ -68,23 +68,14 @@ run(const RunOptions &opts)
         std::fputs("\n", stdout);
     }
 
-    try {
-        if (!opts.jsonPath.empty()) {
-            std::ofstream out{opts.jsonPath};
-            fatalIf(!out.is_open(),
-                    "cannot open JSON output file: " + opts.jsonPath);
-            writeJson(out, records, opts.seed);
-            out.close();
-            fatalIf(!out, "I/O error writing JSON output file: " +
-                              opts.jsonPath);
-        }
-        if (!opts.csvDir.empty()) {
-            for (const RunRecord &rec : records)
-                writeCsv(opts.csvDir, rec);
-        }
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
+    if (!opts.jsonPath.empty()) {
+        std::ostringstream json;
+        writeJson(json, records, opts.seed);
+        writeFile(opts.jsonPath, json.view());
+    }
+    if (!opts.csvDir.empty()) {
+        for (const RunRecord &rec : records)
+            writeCsv(opts.csvDir, rec);
     }
 
     const std::size_t failed = renderAnchorSummary(std::cout, records);
@@ -102,8 +93,9 @@ main(int argc, char **argv)
         "usage: cryowire_bench [options]\n"
         "\n"
         "Run the registered figure/table experiments and gate their paper\n"
-        "anchors. Exit 0 = every anchor within tolerance, 1 = anchor miss\n"
-        "or failed experiment, 2 = usage error.\n",
+        "anchors. Exit 0 = every anchor within tolerance, 1 = anchor miss,\n"
+        "failed experiment or an output that cannot be written, 2 = usage\n"
+        "error.\n",
         {
             cli::toggle("--list", &opts.list,
                         "print the selected experiments and exit"),

@@ -25,7 +25,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,6 +38,7 @@
 #include "util/cli.hh"
 #include "util/diag.hh"
 #include "util/json.hh"
+#include "util/output.hh"
 #include "util/rng.hh"
 #include "util/socket.hh"
 #include "util/stats.hh"
@@ -384,8 +384,7 @@ run(const CliOptions &cli)
             stderr);
 
     if (!cli.json.empty()) {
-        std::ofstream out{cli.json};
-        fatalIf(!out, "cannot write \"" + cli.json + "\"");
+        std::ostringstream out;
         {
             JsonWriter w{out}; // its destructor writes the final newline
             w.beginObject();
@@ -423,8 +422,7 @@ run(const CliOptions &cli)
                 w.key("verify_mismatches").value(mismatches);
             w.endObject();
         }
-        out.close();
-        fatalIf(!out, "I/O error writing \"" + cli.json + "\"");
+        writeFile(cli.json, out.view());
     }
 
     return replies == issued && mismatches == 0 ? 0 : 1;

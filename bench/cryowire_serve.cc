@@ -14,7 +14,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "svc/server.hh"
@@ -22,6 +22,7 @@
 #include "util/diag.hh"
 #include "util/failpoint.hh"
 #include "util/json.hh"
+#include "util/output.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -50,14 +51,12 @@ onSignal(int)
 void
 writeStatsJson(const std::string &path, Server &server)
 {
-    std::ofstream out{path};
-    fatalIf(!out, "cannot write stats to \"" + path + "\"");
+    std::ostringstream out;
     {
         JsonWriter w{out}; // its destructor writes the final newline
         server.serverStats().writeJson(w);
     }
-    out.close();
-    fatalIf(!out, "I/O error writing \"" + path + "\"");
+    writeFile(path, out.view());
 }
 
 void

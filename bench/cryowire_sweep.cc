@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -21,6 +20,7 @@
 #include "util/cli.hh"
 #include "util/diag.hh"
 #include "util/failpoint.hh"
+#include "util/output.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -57,12 +57,9 @@ void
 writePareto(const std::string &path,
             const std::vector<EvaluatedPoint> &points)
 {
-    const auto frontier = paretoFrontier(points);
-    std::ofstream out{path};
-    fatalIf(!out, "cannot open Pareto output \"" + path + "\"");
-    writeParetoCsv(out, points, frontier);
-    out.close();
-    fatalIf(!out, "I/O error writing \"" + path + "\"");
+    std::ostringstream csv;
+    writeParetoCsv(csv, points, paretoFrontier(points));
+    writeFile(path, csv.view());
 }
 
 int
@@ -71,13 +68,7 @@ runMerge(const CliOptions &cli)
     std::ostringstream merged;
     mergeShards({cli.mergeFiles.begin() + 1, cli.mergeFiles.end()},
                 merged);
-    std::ofstream out{cli.mergeFiles.front()};
-    fatalIf(!out, "cannot open merge output \"" +
-                      cli.mergeFiles.front() + "\"");
-    out << merged.str();
-    out.close();
-    fatalIf(!out, "I/O error writing \"" + cli.mergeFiles.front() +
-                      "\"");
+    writeFile(cli.mergeFiles.front(), merged.view());
     if (!cli.pareto.empty()) {
         std::istringstream in{merged.str()};
         writePareto(cli.pareto,
@@ -104,15 +95,10 @@ runSpec(const CliOptions &cli)
     const auto points =
         runSweep(spec, evaluator, lines, cli.sweep, &stats);
 
-    if (cli.out == "-") {
-        std::cout << lines.str();
-    } else {
-        std::ofstream out{cli.out};
-        fatalIf(!out, "cannot open result output \"" + cli.out + "\"");
-        out << lines.str();
-        out.close();
-        fatalIf(!out, "I/O error writing \"" + cli.out + "\"");
-    }
+    if (cli.out == "-")
+        std::cout << lines.view();
+    else
+        writeFile(cli.out, lines.view());
     if (!cli.pareto.empty())
         writePareto(cli.pareto, points);
 

@@ -34,16 +34,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "util/cli.hh"
+#include "util/diag.hh"
 #include "util/json.hh"
+#include "util/output.hh"
 
 namespace cryo::micro
 {
@@ -172,12 +173,7 @@ class Harness
         }
         if (jsonPath_.empty())
             return 0;
-        std::ofstream out{jsonPath_};
-        if (!out) {
-            std::cerr << suite_ << ": cannot write " << jsonPath_
-                      << "\n";
-            return 1;
-        }
+        std::ostringstream out;
         {
             JsonWriter w{out}; // its destructor writes the final newline
             w.beginObject();
@@ -205,10 +201,11 @@ class Harness
             w.endArray();
             w.endObject();
         }
-        out.close();
-        if (!out) {
-            std::cerr << suite_ << ": I/O error writing " << jsonPath_
-                      << "\n";
+        try {
+            writeFile(jsonPath_, out.view());
+        } catch (const FatalError &e) {
+            std::fprintf(stderr, "bench_%s: %s\n", suite_.c_str(),
+                         e.what());
             return 1;
         }
         return 0;

@@ -326,12 +326,6 @@ DesignPoint::validate() const
     v.done();
 }
 
-std::vector<std::string>
-DesignPoint::csvHeader()
-{
-    return fieldNames();
-}
-
 void
 DesignPoint::appendCsv(std::vector<std::string> &cells) const
 {

@@ -152,10 +152,7 @@ struct DesignPoint
      */
     void validate() const;
 
-    /** CSV header matching appendCsv, canonical order. */
-    static std::vector<std::string> csvHeader();
-
-    /** Append every field (canonical order) as CSV cells. */
+    /** Append every field as CSV cells, in fieldNames() order. */
     void appendCsv(std::vector<std::string> &cells) const;
 
     bool operator==(const DesignPoint &other) const;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/csv.hh"
+#include "util/output.hh"
 
 namespace cryo::dse
 {
@@ -44,29 +44,19 @@ writeParetoCsv(std::ostream &out,
                const std::vector<EvaluatedPoint> &points,
                const std::vector<std::size_t> &frontier)
 {
+    const std::vector<std::string> &fields = DesignPoint::fieldNames();
+    const std::vector<std::string> &metrics = PointMetrics::metricNames();
     std::vector<std::string> cells{"index"};
-    for (const std::string &name : DesignPoint::csvHeader())
-        cells.push_back(name);
-    for (const std::string &name : PointMetrics::csvHeader())
-        cells.push_back(name);
-
-    const auto emit = [&out](const std::vector<std::string> &row) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i > 0)
-                out << ',';
-            out << CsvWriter::escape(row[i]);
-        }
-        out << '\n';
-    };
-
-    emit(cells);
+    cells.insert(cells.end(), fields.begin(), fields.end());
+    cells.insert(cells.end(), metrics.begin(), metrics.end());
+    out << csvRow(cells);
     for (const std::size_t i : frontier) {
         const EvaluatedPoint &p = points[i];
         cells.clear();
         cells.push_back(std::to_string(p.index));
         p.point.appendCsv(cells);
         p.metrics.appendCsv(cells);
-        emit(cells);
+        out << csvRow(cells);
     }
 }
 

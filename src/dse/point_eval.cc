@@ -140,20 +140,6 @@ PointMetrics::metricNames()
     return names;
 }
 
-void
-PointMetrics::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    for (const MetricDef &m : kMetrics) {
-        w.key(m.name);
-        if (m.num != nullptr)
-            w.value(this->*(m.num));
-        else
-            w.value(this->*(m.flag));
-    }
-    w.endObject();
-}
-
 std::string
 PointMetrics::json() const
 {
@@ -167,17 +153,13 @@ void
 PointMetrics::writeJson(JsonWriter &w,
                         const std::vector<std::string> &subset) const
 {
-    if (subset.empty()) {
-        writeJson(w);
-        return;
-    }
     std::vector<bool> seen(subset.size(), false);
     w.beginObject();
     // Canonical order: iterate the registry, not the subset, so two
     // requests naming the same metrics in different order render
     // byte-identical replies.
     for (const MetricDef &m : kMetrics) {
-        bool wanted = false;
+        bool wanted = subset.empty();
         for (std::size_t i = 0; i < subset.size(); ++i) {
             if (subset[i] == m.name) {
                 seen[i] = true;
@@ -234,16 +216,6 @@ PointMetrics::fromJson(const JsonValue &obj)
             fatal(std::string("missing metric \"") + kMetrics[k].name +
                   "\" in the metrics object at line " +
                   std::to_string(obj.line()));
-    return out;
-}
-
-std::vector<std::string>
-PointMetrics::csvHeader()
-{
-    std::vector<std::string> out;
-    out.reserve(kMetrics.size());
-    for (const MetricDef &m : kMetrics)
-        out.emplace_back(m.name);
     return out;
 }
 

@@ -72,9 +72,6 @@ struct PointMetrics
     /** Names of every metric, in canonical (JSON/CSV) order. */
     static const std::vector<std::string> &metricNames();
 
-    /** Emit as a JSON object, fixed field order. */
-    void writeJson(JsonWriter &w) const;
-
     /**
      * That object rendered compactly: a sweep point renders it once,
      * and its cache record and result line both embed the bytes
@@ -83,14 +80,14 @@ struct PointMetrics
     std::string json() const;
 
     /**
-     * Emit only @p subset, in canonical order regardless of the
-     * subset's order (so equal requests render equal bytes). An
-     * empty subset means "all"; an unknown name is fatal() - the
-     * service layer validates names at request-parse time, so a miss
-     * here is a programming error.
+     * Emit @p subset as a JSON object, in canonical order regardless
+     * of the subset's order (so equal requests render equal bytes).
+     * An empty subset, the default, means "all"; an unknown name is
+     * fatal() - the service layer validates names at request-parse
+     * time, so a miss here is a programming error.
      */
     void writeJson(JsonWriter &w,
-                   const std::vector<std::string> &subset) const;
+                   const std::vector<std::string> &subset = {}) const;
 
     /**
      * Rebuild from a parsed JSON object (cache load path). Every
@@ -99,10 +96,8 @@ struct PointMetrics
      */
     static PointMetrics fromJson(const JsonValue &obj);
 
-    /** CSV header matching appendCsv. */
-    static std::vector<std::string> csvHeader();
-
-    /** Append every metric as CSV cells (formatDouble rendering). */
+    /** Append every metric as CSV cells (formatDouble rendering), in
+     * metricNames() order. */
     void appendCsv(std::vector<std::string> &cells) const;
 };
 

@@ -176,15 +176,4 @@ SweepSpec::point(std::size_t index) const
     return p;
 }
 
-std::vector<DesignPoint>
-SweepSpec::expand() const
-{
-    std::vector<DesignPoint> out;
-    const std::size_t n = pointCount();
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(point(i));
-    return out;
-}
-
 } // namespace cryo::dse

@@ -82,9 +82,6 @@ class SweepSpec
      */
     DesignPoint point(std::size_t index) const;
 
-    /** All points in enumeration order (small specs / tests). */
-    std::vector<DesignPoint> expand() const;
-
   private:
     std::string name_ = "sweep";
     DesignPoint base_;

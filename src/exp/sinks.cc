@@ -2,10 +2,11 @@
 
 #include <filesystem>
 #include <sstream>
+#include <system_error>
 
-#include "util/csv.hh"
-#include "util/json.hh"
 #include "util/diag.hh"
+#include "util/json.hh"
+#include "util/output.hh"
 #include "util/table.hh"
 
 namespace cryo::exp
@@ -111,50 +112,42 @@ writeJson(std::ostream &out, const std::vector<RunRecord> &records,
 }
 
 void
-writeCsv(const std::string &dir, const Experiment &e,
-         const ExperimentResult &r)
+writeCsv(const std::string &dir, const RunRecord &rec)
 {
-    std::filesystem::create_directories(dir);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    fatalIf(static_cast<bool>(ec), "cannot create CSV directory \"" +
+                                       dir + "\": " + ec.message());
+    const ExperimentResult &r = rec.result;
+    const std::string stem = dir + "/" + rec.experiment->name;
 
-    {
-        CsvWriter csv{dir + "/" + e.name + ".metrics.csv"};
-        csv.writeRow(std::vector<std::string>{
-            "metric", "value", "unit", "anchor", "rel_tol", "status"});
-        for (const Metric &m : r.metrics()) {
-            csv.writeRow(std::vector<std::string>{
-                m.name, formatDouble(m.value), m.unit,
-                m.hasAnchor() ? formatDouble(m.anchor) : std::string{},
-                m.hasAnchor() ? formatDouble(m.relTol) : std::string{},
-                m.hasAnchor() ? (m.pass() ? "pass" : "FAIL")
-                              : std::string{}});
-        }
+    std::string csv = csvRow(
+        {"metric", "value", "unit", "anchor", "rel_tol", "status"});
+    for (const Metric &m : r.metrics()) {
+        csv += csvRow({m.name, formatDouble(m.value), m.unit,
+                       m.hasAnchor() ? formatDouble(m.anchor) : "",
+                       m.hasAnchor() ? formatDouble(m.relTol) : "",
+                       m.hasAnchor() ? (m.pass() ? "pass" : "FAIL") : ""});
     }
+    writeFile(stem + ".metrics.csv", csv);
 
     std::size_t table_idx = 0;
     for (const Table &t : r.tables()) {
-        ++table_idx;
-        CsvWriter csv{dir + "/" + e.name + ".table" +
-                      std::to_string(table_idx) + ".csv"};
-        csv.writeRow(t.header());
+        csv = csvRow(t.header());
         for (const auto &row : t.rows()) {
             if (!Table::isRule(row))
-                csv.writeRow(row);
+                csv += csvRow(row);
         }
+        writeFile(stem + ".table" + std::to_string(++table_idx) + ".csv",
+                  csv);
     }
-}
 
-void
-writeCsv(const std::string &dir, const RunRecord &rec)
-{
-    writeCsv(dir, *rec.experiment, rec.result);
     if (!rec.failed)
         return;
-    std::filesystem::create_directories(dir);
-    CsvWriter csv{dir + "/" + rec.experiment->name + ".error.csv"};
-    csv.writeRow(std::vector<std::string>{"field", "value"});
-    csv.writeRow(std::vector<std::string>{"error", rec.error});
+    csv = csvRow({"field", "value"}) + csvRow({"error", rec.error});
     for (const std::string &frame : rec.errorContext)
-        csv.writeRow(std::vector<std::string>{"context", frame});
+        csv += csvRow({"context", frame});
+    writeFile(stem + ".error.csv", csv);
 }
 
 std::size_t

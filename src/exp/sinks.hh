@@ -62,16 +62,12 @@ void writeJson(std::ostream &out, const std::vector<RunRecord> &records,
                std::uint64_t seed);
 
 /**
- * CSV rendering into @p dir (created if missing): per experiment a
- * <name>.metrics.csv plus one <name>.tableK.csv per table, all through
- * the lossless CsvWriter.
- */
-void writeCsv(const std::string &dir, const Experiment &e,
-              const ExperimentResult &r);
-
-/**
- * Failure-aware CSV rendering: the usual files for a healthy record,
- * plus a <name>.error.csv (error + context chain) for a failed one.
+ * CSV rendering into @p dir (created if missing): a
+ * <name>.metrics.csv, one <name>.tableK.csv per table, and for a
+ * failed record a <name>.error.csv (error + context chain). Numbers
+ * print through formatDouble, so every value round-trips. Each file
+ * goes through writeFile; a directory or file that cannot be written
+ * is fatal().
  */
 void writeCsv(const std::string &dir, const RunRecord &rec);
 

@@ -3,24 +3,6 @@
 namespace cryo::pipeline
 {
 
-const char *
-wireClassName(WireClass wc)
-{
-    switch (wc) {
-      case WireClass::None:
-        return "none";
-      case WireClass::ShortLocal:
-        return "short-local";
-      case WireClass::CacheArray:
-        return "cache-array";
-      case WireClass::CamBroadcast:
-        return "cam-broadcast";
-      case WireClass::ForwardingWire:
-        return "forwarding-wire";
-    }
-    return "unknown";
-}
-
 int
 frontendStageCount(const StageList &stages)
 {

@@ -40,8 +40,6 @@ enum class WireClass
     ForwardingWire  ///< floorplan-length semi-global forwarding wire
 };
 
-const char *wireClassName(WireClass wc);
-
 /**
  * One representative pipeline stage of the BOOM/Skylake-like core.
  */

@@ -174,12 +174,20 @@ runDriver(const Spec &spec, int argc, const char *const *argv,
 {
     if (const std::optional<int> status = parseForMain(spec, argc, argv))
         return *status;
+    int status = 1;
     try {
-        return run();
+        status = run();
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s: %s\n", spec.program.c_str(), e.what());
+    }
+    // std::cout shares stdout's buffer, so this covers both; exit()
+    // would flush it too, but would drop a failure.
+    if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+        std::fprintf(stderr, "%s: cannot write standard output\n",
+                     spec.program.c_str());
         return 1;
     }
+    return status;
 }
 
 } // namespace cryo::cli

@@ -138,7 +138,9 @@ std::optional<int> parseForMain(const Spec &spec, int argc,
                                 const char *const *argv);
 
 /** parseForMain(), then @p run for the exit status; a FatalError out
- * of @p run prints "<program>: <what>" and exits 1. */
+ * of @p run prints "<program>: <what>" and exits 1, and so does a
+ * standard output that cannot be written ("cannot write standard
+ * output"), flushed once @p run returns. */
 int runDriver(const Spec &spec, int argc, const char *const *argv,
               const std::function<int()> &run);
 

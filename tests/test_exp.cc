@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <map>
@@ -33,6 +34,9 @@
 #include "util/failpoint.hh"
 #include "util/hash.hh"
 #include "util/json.hh"
+#include "util/output.hh"
+
+#include "temp_dir.hh"
 
 namespace cryo::exp
 {
@@ -353,6 +357,81 @@ TEST(Runner, AnchorSummaryReportsMisses)
     std::ostringstream bad;
     EXPECT_EQ(renderAnchorSummary(bad, records), 1u);
     EXPECT_NE(bad.str().find("synthetic-miss"), std::string::npos);
+}
+
+// --- The CSV sink -----------------------------------------------------
+
+/** Two records for writeCsv: a healthy one whose table has a rule and
+ * cells to quote, and a failed one with an error and two frames. */
+std::vector<RunRecord>
+csvRecords()
+{
+    static const Experiment healthy{"csv-healthy", "Healthy", "one table",
+                                    {"synthetic"}, nullptr};
+    static const Experiment dead{"csv-failed", "Failed", "throws",
+                                 {"synthetic"}, nullptr};
+    std::vector<RunRecord> records(2);
+    records[0].experiment = &healthy;
+    ExperimentResult &r = records[0].result;
+    r.anchored("freq", 4.1, 4.0, 0.05, "GHz");
+    r.anchored("missed", 2.0, 1.0, 0.1);
+    r.metric("third", 1.0 / 3.0);
+    Table &t = r.table({"design", "note"});
+    t.addRow({"a,b", "said \"hi\""});
+    t.addRule();
+    t.addRow({"plain", "2"});
+    records[1].experiment = &dead;
+    records[1].result.metric("partial", 1e-300, "W");
+    records[1].failed = true;
+    records[1].error = "injected failure";
+    records[1].errorContext = {"experiment csv-failed", "step 2, retry"};
+    return records;
+}
+
+TEST(Sinks, CsvFilesArePinned)
+{
+    const test::TempDir tmp;
+    const std::string dir = tmp.path + "/csv"; // writeCsv creates it
+    for (const RunRecord &rec : csvRecords())
+        writeCsv(dir, rec);
+
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files[entry.path().filename().string()] =
+            test::readFile(entry.path().string());
+    // Recorded before writeFile and csvRow replaced CsvWriter.
+    const std::map<std::string, std::string> expected = {
+        {"csv-failed.error.csv", "field,value\n"
+                                 "error,injected failure\n"
+                                 "context,experiment csv-failed\n"
+                                 "context,\"step 2, retry\"\n"},
+        {"csv-failed.metrics.csv",
+         "metric,value,unit,anchor,rel_tol,status\n"
+         "partial,1e-300,W,,,\n"},
+        {"csv-healthy.metrics.csv",
+         "metric,value,unit,anchor,rel_tol,status\n"
+         "freq,4.1,GHz,4,0.05,pass\n"
+         "missed,2,,1,0.1,FAIL\n"
+         "third,0.3333333333333333,,,,\n"},
+        {"csv-healthy.table1.csv", "design,note\n"
+                                   "\"a,b\",\"said \"\"hi\"\"\"\n"
+                                   "plain,2\n"},
+    };
+    EXPECT_EQ(files, expected);
+}
+
+TEST(Sinks, CsvIntoARegularFileIsFatalNamingIt)
+{
+    const test::TempDir tmp;
+    const std::string file = tmp.path + "/results.csv";
+    writeFile(file, "");
+    try {
+        writeCsv(file, csvRecords()[0]);
+        FAIL() << "no throw";
+    } catch (const FatalError &e) {
+        EXPECT_NE(e.message().find("\"" + file + "\""), std::string::npos)
+            << e.message();
+    }
 }
 
 // --- The cell pool ----------------------------------------------------

@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -24,9 +27,9 @@
 #include <vector>
 
 #include "util/cli.hh"
-#include "util/csv.hh"
 #include "util/json.hh"
 #include "util/diag.hh"
+#include "util/output.hh"
 #include "util/parallel.hh"
 #include "util/thread_pool.hh"
 #include "util/rng.hh"
@@ -34,6 +37,8 @@
 #include "util/table.hh"
 #include "util/units.hh"
 #include "util/validate.hh"
+
+#include "temp_dir.hh"
 
 namespace
 {
@@ -278,10 +283,56 @@ TEST(Table, RuleRows)
 
 TEST(Csv, EscapesSpecials)
 {
-    EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-    EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(CsvWriter::escape("he said \"hi\""),
-              "\"he said \"\"hi\"\"\"");
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"plain", "1.5"}, "plain,1.5\n"},
+            {{"a,b"}, "\"a,b\"\n"},
+            {{"he said \"hi\""}, "\"he said \"\"hi\"\"\"\n"},
+            {{"two\nlines", "x"}, "\"two\nlines\",x\n"},
+            {{"", "x", ""}, ",x,\n"},
+            {{}, "\n"},
+        };
+    for (const auto &[cells, row] : cases)
+        EXPECT_EQ(csvRow(cells), row);
+}
+
+TEST(WriteFile, WritesTheBytesExactly)
+{
+    const test::TempDir dir;
+    const std::string path = dir.path + "/out.csv";
+    // Past a page, with a NUL and no trailing newline.
+    std::string bytes = "a,\"b\"\n" + std::string(1, '\0');
+    for (int i = 0; i < 2000; ++i)
+        bytes += std::to_string(i) + ',';
+    writeFile(path, bytes);
+    EXPECT_EQ(test::readFile(path), bytes);
+    // An existing file is truncated, not appended to.
+    writeFile(path, "short");
+    EXPECT_EQ(test::readFile(path), "short");
+    writeFile(path, "");
+    EXPECT_EQ(test::readFile(path), "");
+}
+
+TEST(WriteFile, FailuresAreFatalNamingThePathAndReason)
+{
+    const test::TempDir dir;
+    std::vector<std::pair<std::string, int>> cases = {
+        {dir.path + "/no-such-dir/out.json", ENOENT}};
+    if (std::filesystem::exists("/dev/full")) // absent on some hosts
+        cases.emplace_back("/dev/full", ENOSPC);
+    for (const auto &[path, err] : cases) {
+        try {
+            writeFile(path, "{}\n");
+            ADD_FAILURE() << path << ": no throw";
+        } catch (const FatalError &e) {
+            EXPECT_NE(e.message().find("\"" + path + "\""),
+                      std::string::npos)
+                << e.message();
+            EXPECT_NE(e.message().find(std::strerror(err)),
+                      std::string::npos)
+                << e.message();
+        }
+    }
 }
 
 TEST(Rng, DeterministicBySeed)
@@ -1342,33 +1393,6 @@ TEST(Cli, UsageListsKindRangeAndDefault)
           "one of steady|bursty; default steady", "--shard I/N",
           "--merge OUT IN...", "2 or more values", "--help, -h"})
         EXPECT_NE(text.find(line), std::string::npos) << line;
-}
-
-TEST(Csv, DoubleRowsRoundTrip)
-{
-    // Regression: writeRow(vector<double>) used to truncate to 6
-    // significant digits, destroying sweep output for plotting.
-    const std::string path = "/tmp/cryowire_test_csv_roundtrip.csv";
-    const std::vector<double> values = {1.0 / 3.0, 0.0054321012345678,
-                                        1e-300, 123456789.123456789};
-    {
-        CsvWriter csv{path};
-        csv.writeRow(values);
-    }
-    std::ifstream in{path};
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    std::stringstream ss{line};
-    std::string cell;
-    std::size_t i = 0;
-    while (std::getline(ss, cell, ',')) {
-        ASSERT_LT(i, values.size());
-        EXPECT_EQ(std::strtod(cell.c_str(), nullptr), values[i])
-            << cell;
-        ++i;
-    }
-    EXPECT_EQ(i, values.size());
-    std::remove(path.c_str());
 }
 
 } // namespace

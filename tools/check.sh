@@ -4,7 +4,8 @@
 #   tools/check.sh           warning-clean Release -Werror build (CI's
 #                            configuration) + full ctest
 #                            + cryowire_lint + every experiment's
-#                            anchor gate (+ clang-tidy and
+#                            anchor gate, its JSON and CSVs equal at
+#                            --jobs 1 (+ clang-tidy and
 #                            clang-format when installed)
 #   tools/check.sh --lint    cryowire_lint only: the full rule set,
 #                            plus the JSON findings and dependency
@@ -188,8 +189,16 @@ if [[ -z "$MODE" ]]; then
     # the three long router-network sweeps (fig21, fig25, fig26); a
     # miss exits non-zero and fails the gate.
     echo "==> experiments (paper-anchor gate)"
+    rm -rf "$BUILD_DIR/results-csv" "$BUILD_DIR/jobs-1-csv"
     "$BUILD_DIR/bench/cryowire_bench" --jobs "$(nproc)" --quiet \
-        --json "$BUILD_DIR/results.json"
+        --json "$BUILD_DIR/results.json" --csv "$BUILD_DIR/results-csv"
+
+    # One thread must write the same JSON and CSVs as the full-width run.
+    echo "==> byte-identity at --jobs 1 vs --jobs $(nproc)"
+    "$BUILD_DIR/bench/cryowire_bench" --jobs 1 --quiet \
+        --json "$BUILD_DIR/jobs-1.json" --csv "$BUILD_DIR/jobs-1-csv"
+    cmp "$BUILD_DIR/jobs-1.json" "$BUILD_DIR/results.json"
+    diff -r "$BUILD_DIR/jobs-1-csv" "$BUILD_DIR/results-csv"
 
     if command -v clang-tidy >/dev/null 2>&1; then
         echo "==> clang-tidy"
