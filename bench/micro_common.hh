@@ -152,7 +152,10 @@ class Harness
         rows_.push_back({name, ops, scalar_ns, batch_ns});
     }
 
-    /** Render the table, write the JSON, return the exit code. */
+    /**
+     * Render the table, write the JSON, return the exit code: 1 when
+     * either output cannot be written.
+     */
     int
     finish() const
     {
@@ -171,8 +174,9 @@ class Harness
                 }
             }
         }
+        const std::string program = "bench_" + suite_;
         if (jsonPath_.empty())
-            return 0;
+            return cli::flushStdout(program, 0);
         std::ostringstream out;
         {
             JsonWriter w{out}; // its destructor writes the final newline
@@ -201,14 +205,14 @@ class Harness
             w.endArray();
             w.endObject();
         }
+        int status = 0;
         try {
             writeFile(jsonPath_, out.view());
         } catch (const FatalError &e) {
-            std::fprintf(stderr, "bench_%s: %s\n", suite_.c_str(),
-                         e.what());
-            return 1;
+            std::fprintf(stderr, "%s: %s\n", program.c_str(), e.what());
+            status = 1;
         }
-        return 0;
+        return cli::flushStdout(program, status);
     }
 
   private:

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstddef>
-#include <sstream>
 #include <utility>
 
 #include "pipeline/floorplan.hh"
@@ -41,27 +40,39 @@ const std::array<MetricDef, 9> kMetrics = {{
     {.name = "converged", .flag = &PointMetrics::converged},
 }};
 
+/** The workload suite named @p name, built once per process. */
+const std::vector<sys::Workload> &
+namedSuite(const std::string &name)
+{
+    static const std::vector<sys::Workload> parsec = sys::parsec21();
+    static const std::vector<sys::Workload> specPrefetch =
+        sys::specRateAggressivePrefetch();
+    static const std::vector<sys::Workload> spec = [] {
+        std::vector<sys::Workload> suite = sys::specRateAggressivePrefetch();
+        for (sys::Workload &w : suite)
+            w.prefetchApki = 0.0; // plain SPEC (Section 7.4)
+        return suite;
+    }();
+    static const std::vector<sys::Workload> cloud = sys::cloudSuite();
+    if (name == "parsec21")
+        return parsec;
+    if (name == "spec-rate")
+        return spec;
+    if (name == "spec-rate-prefetch")
+        return specPrefetch;
+    if (name == "cloudsuite")
+        return cloud;
+    fatal("unknown workload suite \"" + name + "\"");
+}
+
 /** The workload suite a point selects (single workload if named). */
 std::vector<sys::Workload>
 suiteFor(const DesignPoint &p)
 {
-    std::vector<sys::Workload> suite;
-    if (p.suite == "parsec21") {
-        suite = sys::parsec21();
-    } else if (p.suite == "spec-rate" ||
-               p.suite == "spec-rate-prefetch") {
-        suite = sys::specRateAggressivePrefetch();
-        if (p.suite == "spec-rate")
-            for (sys::Workload &w : suite)
-                w.prefetchApki = 0.0; // plain SPEC (Section 7.4)
-    } else if (p.suite == "cloudsuite") {
-        suite = sys::cloudSuite();
-    } else {
-        fatal("unknown workload suite \"" + p.suite + "\"");
-    }
-    if (!p.workload.empty())
-        suite = {sys::findWorkload(suite, p.workload)};
-    return suite;
+    const std::vector<sys::Workload> &suite = namedSuite(p.suite);
+    if (p.workload.empty())
+        return suite;
+    return {sys::findWorkload(suite, p.workload)};
 }
 
 /** The system design a point selects from @p builder. */
@@ -143,10 +154,9 @@ PointMetrics::metricNames()
 std::string
 PointMetrics::json() const
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     writeJson(w);
-    return out.str();
+    return w.take();
 }
 
 void

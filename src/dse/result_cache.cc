@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <fstream>
-#include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -138,8 +137,7 @@ std::string
 payloadOf(std::string_view hashHex, const PointMetrics &m,
           std::string_view metricsJson)
 {
-    std::ostringstream line;
-    JsonWriter w{line, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("hash").value(hashHex);
     w.key("metrics");
@@ -148,7 +146,7 @@ payloadOf(std::string_view hashHex, const PointMetrics &m,
     else
         w.raw(metricsJson);
     w.endObject();
-    return line.str();
+    return w.take();
 }
 
 /**

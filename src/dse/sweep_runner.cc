@@ -4,7 +4,6 @@
 #include <atomic>
 #include <fstream>
 #include <istream>
-#include <sstream>
 #include <string_view>
 
 #include "util/diag.hh"
@@ -33,8 +32,7 @@ std::string
 resultLine(const EvaluatedPoint &p, std::string_view hash,
            std::string_view metricsJson)
 {
-    std::ostringstream line;
-    JsonWriter w{line, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("i").value(static_cast<std::uint64_t>(p.index));
     w.key("hash").value(hash);
@@ -46,7 +44,7 @@ resultLine(const EvaluatedPoint &p, std::string_view hash,
     else
         w.raw(metricsJson);
     w.endObject();
-    return line.str();
+    return w.take();
 }
 
 } // namespace
@@ -87,16 +85,31 @@ runSweep(const SweepSpec &spec, const PointEvaluator &evaluator,
     std::vector<EvaluatedPoint> results(owned);
 
     // A block at a time: the pool looks up or evaluates each point,
-    // stores it, and formats its line; this thread then writes the
-    // block's lines in index order. The slots are reused from block
-    // to block, so no more than one block's lines are held.
-    std::vector<std::string> lines(std::min(owned, kSweepBlockPoints));
+    // stores it, and formats its line into `block`. Item 0 first
+    // writes the previous block's lines, so one worker writes while
+    // the others evaluate; the last block is written after the loop.
+    // Item 0 is in the first chunk claimed, and parallelFor finishes
+    // claimed chunks before it rethrows, so a throw still leaves
+    // exactly the blocks before the failing one in out. The two
+    // buffers' slots are reused from block to block, so no more than
+    // two blocks' lines are held.
+    std::vector<std::string> block(std::min(owned, kSweepBlockPoints));
+    std::vector<std::string> previous(block.size());
+    std::size_t pending = 0; // lines in previous, not yet written
+    const auto writePrevious = [&out, &previous, &pending] {
+        for (std::size_t k = 0; k < pending; ++k)
+            out.write(previous[k].data(),
+                      static_cast<std::streamsize>(previous[k].size()))
+                .put('\n');
+    };
     for (std::size_t begin = 0; begin < owned;
          begin += kSweepBlockPoints) {
         const std::size_t n = std::min(kSweepBlockPoints, owned - begin);
         parallelFor(
             n,
             [&](std::size_t k) {
+                if (k == 0)
+                    writePrevious();
                 EvaluatedPoint &ep = results[begin + k];
                 ep.index = first + (begin + k) * stride;
                 ep.point = spec.point(ep.index);
@@ -114,14 +127,13 @@ runSweep(const SweepSpec &spec, const PointEvaluator &evaluator,
                     cache.store(hash, ep.metrics, metrics);
                     evaluated.fetch_add(1, std::memory_order_relaxed);
                 }
-                lines[k] = resultLine(ep, hash, metrics);
+                block[k] = resultLine(ep, hash, metrics);
             },
             ParallelOptions{options.jobs, kClaimPoints});
-        for (std::size_t k = 0; k < n; ++k)
-            out.write(lines[k].data(),
-                      static_cast<std::streamsize>(lines[k].size()))
-                .put('\n');
+        block.swap(previous);
+        pending = n;
     }
+    writePrevious();
 
     if (stats != nullptr) {
         stats->totalPoints = total;

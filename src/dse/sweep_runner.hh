@@ -24,10 +24,11 @@
  * The shard runs in blocks of kSweepBlockPoints points. Within a
  * block the pool's workers look up or evaluate each point, append its
  * cache record, and format its result line; a point's metrics object
- * is rendered once and spliced into both. The calling thread then
- * writes the block's lines in index order, so the output holds one
- * block's lines at a time and its bytes do not depend on the job
- * count.
+ * is rendered once and spliced into both. Whichever worker takes the
+ * next block's first point writes this block's lines in index order
+ * while the others evaluate (the last block is written once the
+ * loop ends), so up to two blocks' lines are held and the output's
+ * bytes do not depend on the job count.
  */
 
 #ifndef CRYOWIRE_DSE_SWEEP_RUNNER_HH
@@ -80,8 +81,8 @@ struct SweepStats
 
 /**
  * Points per runSweep block: a few hundred keep every worker busy
- * between the block's barriers, and hold the block's lines near
- * 0.3 MB.
+ * between the block's barriers, and hold two blocks' lines near
+ * 0.6 MB.
  */
 constexpr std::size_t kSweepBlockPoints = 512;
 

@@ -30,7 +30,7 @@ NocConfig::NocConfig(std::string name, Topology topology, Protocol protocol,
       clockFreq_(clock_freq), routerSpec_(router_spec),
       hopsPerCycle_(hops_per_cycle), dynamicLinks_(dynamic_links)
 {
-    Validator v{"NocConfig " + name_};
+    Validator v{"NocConfig", name_};
     v.temperature("tempK", tempK_)
         .positive("voltage.vdd", voltage_.vdd)
         .positive("voltage.vth", voltage_.vth)

@@ -39,7 +39,7 @@ void
 CoreConfig::validate() const
 {
     structures.validate();
-    Validator v{"CoreConfig " + name};
+    Validator v{"CoreConfig", name};
     v.temperature("tempK", tempK)
         .positive("voltage.vdd", voltage.vdd)
         .positive("voltage.vth", voltage.vth)

@@ -1,7 +1,6 @@
 #include "protocol.hh"
 
 #include <algorithm>
-#include <sstream>
 
 namespace cryo::svc
 {
@@ -84,10 +83,9 @@ writeJsonValue(JsonWriter &w, const JsonValue &v)
 std::string
 renderCompact(const JsonValue &v)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     writeJsonValue(w, v);
-    return out.str();
+    return w.take();
 }
 
 } // namespace
@@ -191,8 +189,7 @@ parseRequest(std::string_view line, const std::string &source)
 std::string
 formatRequest(const Request &r)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("id").value(r.id);
     w.key("op").value(opName(r.op));
@@ -209,7 +206,10 @@ formatRequest(const Request &r)
             w.key("deadline_ms").value(r.deadlineMs);
     }
     w.endObject();
-    return out.str();
+    // Fitted: a load generator keeps every request line it sends.
+    std::string line = w.take();
+    line.shrink_to_fit();
+    return line;
 }
 
 std::string
@@ -217,8 +217,7 @@ formatOkEval(const Request &req, const std::string &hash, bool cached,
              bool deduped, const dse::PointMetrics &metrics,
              std::int64_t latencyUs)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("id").value(req.id);
     w.key("status").value("ok");
@@ -230,29 +229,27 @@ formatOkEval(const Request &req, const std::string &hash, bool cached,
     metrics.writeJson(w, req.metrics);
     w.key("latency_us").value(latencyUs);
     w.endObject();
-    return out.str();
+    return w.take();
 }
 
 std::string
 formatAck(const std::string &id, Op op, std::int64_t latencyUs)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("id").value(id);
     w.key("status").value("ok");
     w.key("op").value(opName(op));
     w.key("latency_us").value(latencyUs);
     w.endObject();
-    return out.str();
+    return w.take();
 }
 
 std::string
 formatError(bool hasId, const std::string &id,
             const std::string &message, std::int64_t latencyUs)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     if (hasId)
         w.key("id").value(id);
@@ -260,15 +257,14 @@ formatError(bool hasId, const std::string &id,
     w.key("message").value(message);
     w.key("latency_us").value(latencyUs);
     w.endObject();
-    return out.str();
+    return w.take();
 }
 
 std::string
 formatFailed(const std::string &id, const FatalError &err,
              std::int64_t latencyUs)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("id").value(id);
     w.key("status").value("failed");
@@ -279,7 +275,7 @@ formatFailed(const std::string &id, const FatalError &err,
     w.endArray();
     w.key("latency_us").value(latencyUs);
     w.endObject();
-    return out.str();
+    return w.take();
 }
 
 std::string
@@ -287,8 +283,7 @@ formatOverloaded(const std::string &id, std::size_t inflight,
                  std::size_t queued, std::size_t limit,
                  std::int64_t latencyUs)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("id").value(id);
     w.key("status").value("overloaded");
@@ -297,22 +292,21 @@ formatOverloaded(const std::string &id, std::size_t inflight,
     w.key("limit").value(static_cast<std::uint64_t>(limit));
     w.key("latency_us").value(latencyUs);
     w.endObject();
-    return out.str();
+    return w.take();
 }
 
 std::string
 formatExpired(const std::string &id, std::int64_t deadlineMs,
               std::int64_t latencyUs)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("id").value(id);
     w.key("status").value("expired");
     w.key("deadline_ms").value(deadlineMs);
     w.key("latency_us").value(latencyUs);
     w.endObject();
-    return out.str();
+    return w.take();
 }
 
 Reply

@@ -1,7 +1,6 @@
 #include "server.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "util/diag.hh"
@@ -225,8 +224,7 @@ Server::sendReply(const std::shared_ptr<Conn> &conn,
 std::string
 Server::formatStatsReply(const Request &req, std::int64_t latencyUs)
 {
-    std::ostringstream out;
-    JsonWriter w{out, /*indent=*/0};
+    JsonWriter w;
     w.beginObject();
     w.key("id").value(req.id);
     w.key("status").value("ok");
@@ -267,7 +265,7 @@ Server::formatStatsReply(const Request &req, std::int64_t latencyUs)
     w.endObject();
     w.key("latency_us").value(latencyUs);
     w.endObject();
-    return out.str();
+    return w.take();
 }
 
 void

@@ -30,7 +30,7 @@ SystemDesign::validate() const
     CRYO_CONTEXT("validate SystemDesign " + name);
     core.validate();
     mem.validate();
-    Validator v{"SystemDesign " + name};
+    Validator v{"SystemDesign", name};
     v.atLeast("busWays", busWays, 1).done();
 }
 

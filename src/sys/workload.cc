@@ -9,7 +9,7 @@ namespace cryo::sys
 void
 Workload::validate() const
 {
-    Validator v{"Workload " + name};
+    Validator v{"Workload", name};
     v.positive("cpiCore", cpiCore)
         .nonNegative("l2Apki", l2Apki)
         .nonNegative("l3Apki", l3Apki)

@@ -159,7 +159,7 @@ parseForMain(const Spec &spec, int argc, const char *const *argv)
         if (parse(spec, argc, argv))
             return std::nullopt;
         std::fputs(usage(spec).c_str(), stdout);
-        return 0;
+        return flushStdout(spec.program, 0);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s: %s\nrun '%s --help' for usage\n",
                      spec.program.c_str(), e.message().c_str(),
@@ -180,11 +180,17 @@ runDriver(const Spec &spec, int argc, const char *const *argv,
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s: %s\n", spec.program.c_str(), e.what());
     }
+    return flushStdout(spec.program, status);
+}
+
+int
+flushStdout(const std::string &program, int status)
+{
     // std::cout shares stdout's buffer, so this covers both; exit()
     // would flush it too, but would drop a failure.
     if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
         std::fprintf(stderr, "%s: cannot write standard output\n",
-                     spec.program.c_str());
+                     program.c_str());
         return 1;
     }
     return status;

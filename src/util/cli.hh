@@ -132,8 +132,9 @@ std::string usage(const Spec &spec);
 bool parse(const Spec &spec, int argc, const char *const *argv);
 
 /** parse() for a main(): the exit status after --help (0, usage on
- * stdout) or a usage error (2, message on stderr); nothing when the
- * command line is good. */
+ * stdout, or 1 as flushStdout() says when stdout cannot take it) or
+ * a usage error (2, message on stderr); nothing when the command line
+ * is good. */
 std::optional<int> parseForMain(const Spec &spec, int argc,
                                 const char *const *argv);
 
@@ -143,6 +144,11 @@ std::optional<int> parseForMain(const Spec &spec, int argc,
  * output"), flushed once @p run returns. */
 int runDriver(const Spec &spec, int argc, const char *const *argv,
               const std::function<int()> &run);
+
+/** Flush standard output: @p status when everything written to it
+ * arrived, else 1 after "<program>: cannot write standard output"
+ * on stderr. */
+int flushStdout(const std::string &program, int status);
 
 } // namespace cryo::cli
 

@@ -16,7 +16,7 @@ namespace diag
 namespace
 {
 
-thread_local std::vector<std::string> tls_context;
+thread_local std::vector<ContextFrame> tls_context;
 
 /** Serializes the dedup table, the counters, and the stderr write. */
 std::mutex &
@@ -41,18 +41,24 @@ warnState()
 
 } // namespace
 
-const std::vector<std::string> &
+std::vector<std::string>
 contextStack()
 {
-    return tls_context;
+    std::vector<std::string> chain;
+    chain.reserve(tls_context.size());
+    for (const ContextFrame &frame : tls_context)
+        chain.push_back(frame.render(frame.closure));
+    return chain;
 }
 
-ContextScope::ContextScope(std::string frame)
+void
+pushContext(ContextFrame frame)
 {
-    tls_context.push_back(std::move(frame));
+    tls_context.push_back(frame);
 }
 
-ContextScope::~ContextScope()
+void
+popContext()
 {
     tls_context.pop_back();
 }
@@ -100,8 +106,14 @@ FatalError::render(const std::string &msg,
 }
 
 FatalError::FatalError(const std::string &msg)
-    : std::runtime_error(render(msg, diag::contextStack())),
-      message_(msg), context_(diag::contextStack())
+    : FatalError(msg, diag::contextStack())
+{
+}
+
+FatalError::FatalError(const std::string &msg,
+                       std::vector<std::string> chain)
+    : std::runtime_error(render(msg, chain)), message_(msg),
+      context_(std::move(chain))
 {
 }
 

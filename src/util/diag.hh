@@ -17,7 +17,11 @@
  *
  * CRYO_CONTEXT("mosfet @ 77K") installs a scope-local context frame on
  * a thread-local stack; a FatalError thrown while the scope is alive
- * carries the frame in its context() chain (innermost last).
+ * carries the frame in its context() chain (innermost last). A frame
+ * is rendered only when a FatalError, panic() or contextStack() reads
+ * the chain, so entering a scope on the success path builds no string:
+ * the frame's expression must therefore read values that stay
+ * unchanged while its scope is open.
  *
  * CRYO_CHECK_FINITE(expr) is the standard postcondition on model
  * outputs: it evaluates to the value of @p expr and throws FatalError
@@ -34,6 +38,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cryo
@@ -42,21 +47,46 @@ namespace cryo
 namespace diag
 {
 
-/** The calling thread's active context frames (innermost last). */
-const std::vector<std::string> &contextStack();
+/**
+ * The calling thread's active context frames, rendered now
+ * (outermost first).
+ */
+std::vector<std::string> contextStack();
+
+/** One pushed frame: @p render(@p closure) gives its text. */
+struct ContextFrame
+{
+    const void *closure;
+    std::string (*render)(const void *closure);
+};
+
+/** The thread-local frame stack behind ContextScope. */
+void pushContext(ContextFrame frame);
+void popContext();
 
 /**
- * RAII context frame: pushes @p frame on the thread-local stack for
- * its lifetime. Use through CRYO_CONTEXT.
+ * RAII context frame: pushes a reference to @p render, a callable
+ * returning the frame's text, on the thread-local stack for its
+ * lifetime. Use through CRYO_CONTEXT.
  */
+template <typename Render>
 class ContextScope
 {
   public:
-    explicit ContextScope(std::string frame);
-    ~ContextScope();
+    explicit ContextScope(Render render) : render_(std::move(render))
+    {
+        pushContext({&render_, [](const void *closure) -> std::string {
+                         return (*static_cast<const Render *>(closure))();
+                     }});
+    }
+
+    ~ContextScope() { popContext(); }
 
     ContextScope(const ContextScope &) = delete;
     ContextScope &operator=(const ContextScope &) = delete;
+
+  private:
+    Render render_;
 };
 
 /** warn() bookkeeping, exposed for tests. */
@@ -78,7 +108,7 @@ void resetWarnings();
 class FatalError : public std::runtime_error
 {
   public:
-    /** Captures the calling thread's context stack. */
+    /** Captures the calling thread's context stack, rendered. */
     explicit FatalError(const std::string &msg);
 
     /** The raw message, without the "cryowire fatal:" prefix or the
@@ -89,6 +119,8 @@ class FatalError : public std::runtime_error
     const std::vector<std::string> &context() const { return context_; }
 
   private:
+    FatalError(const std::string &msg, std::vector<std::string> chain);
+
     static std::string render(const std::string &msg,
                               const std::vector<std::string> &chain);
 
@@ -145,12 +177,16 @@ double checkFinite(double value, const char *expr, const char *file,
 #define CRYO_DIAG_CONCAT2(a, b) a##b
 #define CRYO_DIAG_CONCAT(a, b) CRYO_DIAG_CONCAT2(a, b)
 
-/** Install a context frame for the rest of the enclosing scope. */
+/**
+ * Install a context frame for the rest of the enclosing scope. The
+ * frame expression is evaluated only when the chain is read (see the
+ * file comment), by reference to the enclosing scope's values.
+ */
 #define CRYO_CONTEXT(frame)                                            \
-    ::cryo::diag::ContextScope CRYO_DIAG_CONCAT(cryo_context_scope_,   \
-                                                __LINE__)              \
+    const ::cryo::diag::ContextScope CRYO_DIAG_CONCAT(                 \
+        cryo_context_scope_, __LINE__)                                 \
     {                                                                  \
-        (frame)                                                        \
+        [&]() -> std::string { return (frame); }                       \
     }
 
 /** Finite-value postcondition: yields @p expr, fatal() on NaN/Inf. */

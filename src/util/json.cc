@@ -19,6 +19,12 @@ namespace
 /** Longest formatDouble output: "-" + 17 digits + "." + "e-308". */
 constexpr std::size_t kDoubleChars = 40;
 
+/**
+ * Bytes a writer reserves: one allocation holds a DSE result line
+ * (~530 bytes), a cache record or a service reply whole.
+ */
+constexpr std::size_t kDocumentReserve = 640;
+
 /** printf's %.<precision>g of a finite @p value, C locale. */
 char *
 renderG(char *buf, double value, int precision)
@@ -172,10 +178,14 @@ formatDouble(double value)
 }
 
 JsonWriter::JsonWriter(std::ostream &out, int indent)
-    : out_(out), indent_(indent)
+    : out_(&out), indent_(indent)
 {
-    // One allocation holds a DSE record or a service reply whole.
-    buf_.reserve(512);
+    buf_.reserve(kDocumentReserve);
+}
+
+JsonWriter::JsonWriter() : out_(nullptr), indent_(0)
+{
+    buf_.reserve(kDocumentReserve);
 }
 
 JsonWriter::~JsonWriter()
@@ -183,11 +193,21 @@ JsonWriter::~JsonWriter()
     // Not fatal() in a destructor: an unfinished document (a throw
     // mid-document) is written as far as it got, for the tests and
     // the reader to see.
+    if (out_ == nullptr)
+        return;
     if (!buf_.empty())
-        out_.write(buf_.data(),
-                   static_cast<std::streamsize>(buf_.size()));
+        out_->write(buf_.data(),
+                    static_cast<std::streamsize>(buf_.size()));
     if (done_ && stack_.empty())
-        out_ << '\n';
+        *out_ << '\n';
+}
+
+std::string
+JsonWriter::take()
+{
+    fatalIf(out_ != nullptr, "JsonWriter::take() on a streaming writer");
+    fatalIf(!done_, "JsonWriter::take() before the root value closed");
+    return std::move(buf_);
 }
 
 void
@@ -203,7 +223,9 @@ JsonWriter::afterValue()
     if (!stack_.empty())
         return;
     done_ = true;
-    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    if (out_ == nullptr)
+        return; // the document waits for take()
+    out_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
     buf_.clear();
 }
 

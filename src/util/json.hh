@@ -7,7 +7,8 @@
  * the results file is produced in one deterministic pass - no DOM, no
  * allocation-ordering surprises, byte-identical output for identical
  * inputs regardless of how the values were computed. It builds each
- * document in one string and hands it to the stream in one write.
+ * document in one string and hands it to the stream in one write, or,
+ * with no stream, to the caller through take().
  *
  * parseJson is the matching reader: a strict RFC-8259 recursive-descent
  * parser producing a JsonValue tree. Every value remembers its source
@@ -79,6 +80,15 @@ std::string formatDouble(double value);
  *   w.endObject();
  * @endcode
  *
+ * A writer made with no stream renders one compact document for
+ * take(), with no stream or locale on the way: a cache record, a
+ * result line or a service reply.
+ * @code
+ *   JsonWriter w;
+ *   w.beginObject().key("hash").value(hash).endObject();
+ *   return w.take(); // {"hash":"..."}, no newline
+ * @endcode
+ *
  * Scope misuse (ending the wrong scope, a key outside an object, two
  * keys in a row) is fatal() - a programming error, not a data error.
  */
@@ -88,9 +98,13 @@ class JsonWriter
     /** @param indent spaces per nesting level (0 = compact). */
     explicit JsonWriter(std::ostream &out, int indent = 2);
 
+    /** A compact writer with no stream: the document is for take(). */
+    JsonWriter();
+
     /**
      * Writes an unfinished document as far as it got; every scope
-     * should be closed before the writer is destroyed.
+     * should be closed before the writer is destroyed. A writer with
+     * no stream discards its document.
      */
     ~JsonWriter();
 
@@ -122,6 +136,15 @@ class JsonWriter
      */
     JsonWriter &raw(std::string_view json);
 
+    /**
+     * The finished document of a writer made with no stream, moved
+     * out: the string keeps the writer's reserved capacity (640
+     * bytes for a shorter document), so a caller that keeps many
+     * documents fits them (shrink_to_fit). fatal() unless the root
+     * value has closed, and on a writer that writes to a stream.
+     */
+    std::string take();
+
     /** Escape @p s per RFC 8259 (quotes not included). */
     static std::string escape(std::string_view s);
 
@@ -139,8 +162,8 @@ class JsonWriter
         bool first; ///< no member written yet
     };
 
-    std::ostream &out_;
-    std::string buf_; ///< the document, not yet written to out_
+    std::ostream *out_; ///< nullptr: the document waits for take()
+    std::string buf_;   ///< the document, not yet written to out_
     int indent_;
     std::vector<Scope> stack_;
     bool keyPending_ = false;

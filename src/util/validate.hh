@@ -6,7 +6,8 @@
  * just the first) and done() throws one cryo::FatalError listing them
  * all, under a "validate <Subject>" context frame - so a fault-injected
  * NaN is reported by name at the point it enters the stack instead of
- * surfacing cycles later as a silently-wrong anchored metric.
+ * surfacing cycles later as a silently-wrong anchored metric. The
+ * subject is rendered only then, so a clean pass allocates nothing.
  *
  * Also home of the temperature validity window shared by the material,
  * device, and cooling models: queries outside [kMinModelTempK,
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/diag.hh"
@@ -42,8 +44,15 @@ constexpr double kMaxModelTempK = 400.0;
 class Validator
 {
   public:
-    explicit Validator(std::string subject)
-        : subject_(std::move(subject))
+    /** Subject "@p kind" ("Widget"). */
+    explicit Validator(const char *kind) : kind_(kind) {}
+
+    /**
+     * Subject "@p kind @p name" ("Workload x264"), even for an empty
+     * name; @p name must outlive the validator.
+     */
+    Validator(const char *kind, std::string_view name)
+        : kind_(kind), name_(name), named_(true)
     {
     }
 
@@ -135,8 +144,11 @@ class Validator
     {
         if (errors_.empty())
             return;
-        CRYO_CONTEXT("validate " + subject_);
-        std::string msg = "invalid " + subject_ + ": ";
+        std::string subject = kind_;
+        if (named_)
+            subject.append(" ").append(name_);
+        CRYO_CONTEXT("validate " + subject);
+        std::string msg = "invalid " + subject + ": ";
         for (std::size_t i = 0; i < errors_.size(); ++i) {
             if (i > 0)
                 msg += "; ";
@@ -154,7 +166,9 @@ class Validator
         errors_.push_back(os.str());
     }
 
-    std::string subject_;
+    const char *kind_;
+    std::string_view name_;
+    bool named_ = false;
     std::vector<std::string> errors_;
 };
 

@@ -2,7 +2,8 @@
 """Outputs that cannot be written, run under ctest as
 `full_disk.py BENCH SWEEP MICRO REPO_ROOT`. Each case points one
 driver output at a place that cannot take it: /dev/full (which opens
-fine and fails every write) as an output file, as standard output or
+fine and fails every write) as an output file, as standard output
+(for a run's report, the --help text or a microbench's table) or
 behind a symlink in a --csv directory, or a regular file given as the
 --csv directory. The driver must exit 1 naming the path (or standard
 output), not report success over output it never wrote, nor exit 2,
@@ -41,6 +42,8 @@ def main():
             ([micro, "--reps", "1", "--min-time-ms", "0", "--quiet",
               "--json", FULL], FULL, False),
             ([sweep, "--spec", smoke, "--quiet"], STDOUT, True),
+            ([sweep, "--help"], STDOUT, True),
+            ([micro, "--reps", "1", "--min-time-ms", "0"], STDOUT, True),
             ([bench, "--filter", "table1-floorplan"], STDOUT, True),
             ([bench, "--filter", "table1-floorplan", "--quiet",
               "--csv", csv_dir], full_csv, False),

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dse/design_point.hh"
@@ -503,6 +504,52 @@ TEST_F(SweepChaos, EvalFaultAfterTheFirstBlockKeepsTheBlocksBefore)
     EXPECT_EQ(resumed.cacheHits, block + 2);
     EXPECT_EQ(resumed.evaluated, spec.pointCount() - block - 2);
     scrub(path);
+}
+
+TEST_F(SweepChaos, EvalFaultLeavesExactlyThePrecedingBlocksAtAnyJobCount)
+{
+    // Two and a half blocks, no cache file, so every point evaluates
+    // and the Nth evaluation falls in a known block. A fault on the
+    // second block's first evaluation (at one job, its first point)
+    // or on one in the last block leaves exactly the blocks before
+    // it in the output, although the worker that takes a block's
+    // first point writes the previous block while the others work.
+    const std::size_t block = dse::kSweepBlockPoints;
+    const dse::SweepSpec spec = dse::SweepSpec::fromJson(parseJson(
+        R"({"name": "chaos-blocks", "base": {"workload": "streamcluster"},
+            "axes": [{"field": "tempK", "range":
+                {"from": 77, "to": 300, "steps": )" +
+            std::to_string(2 * block + block / 2) + "}}]}",
+        "<spec>"));
+    const dse::PointEvaluator eval;
+    std::ostringstream fresh;
+    dse::runSweep(spec, eval, fresh);
+    const std::string freshText = fresh.str();
+    const auto firstLines = [&freshText](std::size_t n) {
+        std::size_t end = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            end = freshText.find('\n', end) + 1;
+        return freshText.substr(0, end);
+    };
+
+    // (evaluation that faults, blocks left whole before it)
+    for (const auto &[nth, blocks] :
+         {std::pair{block + 1, std::size_t{1}},
+          std::pair{2 * block + 17, std::size_t{2}}}) {
+        for (const int jobs : {1, 4}) {
+            failpoint::arm("dse.eval",
+                           "nth(" + std::to_string(nth) + "):error");
+            dse::SweepOptions opts;
+            opts.jobs = jobs;
+            std::ostringstream wounded;
+            EXPECT_THROW(dse::runSweep(spec, eval, wounded, opts),
+                         FatalError)
+                << "fault " << nth << ", " << jobs << " job(s)";
+            EXPECT_EQ(wounded.str(), firstLines(blocks * block))
+                << "fault " << nth << ", " << jobs << " job(s)";
+            failpoint::disarmAll();
+        }
+    }
 }
 
 TEST_F(SweepChaos, QuarantinedRecordsSurfaceInSweepStats)

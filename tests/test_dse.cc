@@ -839,6 +839,50 @@ TEST(PointMetricsJson, RequiresEveryMetricExactlyOnce)
                    "unknown metric \"ipc\"");
 }
 
+TEST(DseJson, StreamFreeDocumentsMatchTheCompactStream)
+{
+    // A metrics object, a result line and a cache record's payload,
+    // rendered by writers with no stream, hold the bytes a compact
+    // stream writer writes for the same calls.
+    const PointEvaluator eval;
+    EvaluatedPoint ep;
+    ep.index = 42;
+    ep.point.workload = "streamcluster";
+    ep.point.tempK = 123.25;
+    ep.metrics = eval.evaluate(ep.point);
+    const std::string hash = ep.point.hashHex();
+    const auto streamed = [](const auto &render) {
+        std::ostringstream out;
+        JsonWriter w{out, /*indent=*/0};
+        render(w);
+        return out.str();
+    };
+    const auto metrics = [&ep](JsonWriter &w) { ep.metrics.writeJson(w); };
+
+    EXPECT_EQ(ep.metrics.json(), streamed(metrics));
+    EXPECT_EQ(formatResultLine(ep), streamed([&](JsonWriter &w) {
+                  w.beginObject();
+                  w.key("i").value(std::uint64_t{42});
+                  w.key("hash").value(hash);
+                  w.key("point");
+                  ep.point.writeJson(w);
+                  w.key("metrics");
+                  metrics(w);
+                  w.endObject();
+              }));
+    const std::string payload = streamed([&](JsonWriter &w) {
+        w.beginObject();
+        w.key("hash").value(hash);
+        w.key("metrics");
+        metrics(w);
+        w.endObject();
+    });
+    const std::string record = ResultCache::formatRecord(hash, ep.metrics);
+    ASSERT_GT(record.size(), payload.size());
+    EXPECT_EQ(record.substr(record.size() - payload.size()), payload);
+    EXPECT_EQ(record[record.size() - payload.size() - 1], ' ');
+}
+
 TEST(SweepRunner, ReadResultsRejectsAnIncompleteRecordCitingItsLine)
 {
     const SweepSpec spec =

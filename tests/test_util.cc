@@ -18,6 +18,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -43,7 +44,54 @@
 namespace
 {
 
+/** operator new calls on this thread while tls_counting is set. */
+thread_local bool tls_counting = false;
+thread_local std::size_t tls_allocations = 0;
+
+} // namespace
+
+// Counting replacements of the global allocation functions (the array
+// and nothrow forms call these), so a test can assert that a path
+// allocates nothing. Not inlined: GCC would otherwise see free() meet
+// a pointer from operator new and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    if (tls_counting)
+        ++tls_allocations;
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace
+{
+
 using namespace cryo;
+
+/** Heap allocations @p fn makes on the calling thread. */
+template <typename Fn>
+std::size_t
+allocationsOf(Fn &&fn)
+{
+    tls_allocations = 0;
+    tls_counting = true;
+    fn();
+    tls_counting = false;
+    return tls_allocations;
+}
 
 TEST(RunningStats, EmptyIsZero)
 {
@@ -418,6 +466,79 @@ TEST(Diag, FatalCarriesContextChain)
     }
 }
 
+TEST(Diag, LazyFramesReadAsTheEagerTextDid)
+{
+    // Frames built from a local string and a std::to_string, nested
+    // in a called function: the chain reads the bytes the strings
+    // built on entry held.
+    const std::string design = "cryosp-cryobus77";
+    const double tempK = 77.5;
+    const auto inner = [](int step) {
+        CRYO_CONTEXT("step " + std::to_string(step));
+        fatal("deep");
+    };
+    try {
+        CRYO_CONTEXT("interval_sim: design=" + design + " workload=x264");
+        CRYO_CONTEXT("voltage optimize @ " + std::to_string(tempK) +
+                     " K");
+        inner(3);
+        FAIL() << "fatal must throw";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(e.context(),
+                  (std::vector<std::string>{
+                      "interval_sim: design=cryosp-cryobus77 workload=x264",
+                      "voltage optimize @ 77.500000 K", "step 3"}));
+        EXPECT_STREQ(e.what(),
+                     "cryowire fatal: deep\n  context:"
+                     "\n    interval_sim: design=cryosp-cryobus77 "
+                     "workload=x264"
+                     "\n    voltage optimize @ 77.500000 K"
+                     "\n    step 3");
+    }
+    EXPECT_TRUE(diag::contextStack().empty());
+}
+
+TEST(Diag, ContextStackInAnOuterCatchHoldsOnlyTheOuterFrame)
+{
+    // The experiment runner's use: a catch inside the outer scope
+    // reads the chain as it stands there, without the inner frames
+    // the throw unwound.
+    const std::string name = "fig23-system-performance";
+    CRYO_CONTEXT("experiment " + name);
+    try {
+        CRYO_CONTEXT("interval_sim suite: design=" + name);
+        throw std::runtime_error("not a FatalError");
+    } catch (const std::runtime_error &) {
+        EXPECT_EQ(diag::contextStack(),
+                  std::vector<std::string>{
+                      "experiment fig23-system-performance"});
+    }
+}
+
+TEST(Diag, SuccessPathsAllocateNothing)
+{
+    // Entering a scope with a concatenated frame and a clean named
+    // Validator pass build no string; the same frame built eagerly
+    // does, so the counter sees allocations when there are any.
+    const std::string design = "cryosp-cryobus77";
+    const std::string workload = "streamcluster";
+    const auto enter = [&] {
+        CRYO_CONTEXT("interval_sim: design=" + design +
+                     " workload=" + workload);
+        Validator v{"Workload", workload};
+        v.positive("cpiCore", 1.0).nonNegative("l2Apki", 0.0).done();
+    };
+    enter(); // the thread's frame stack takes its storage once
+    EXPECT_EQ(allocationsOf(enter), 0u);
+    EXPECT_GT(allocationsOf([&] {
+                  const std::string eager = "interval_sim: design=" +
+                                            design + " workload=" +
+                                            workload;
+                  EXPECT_FALSE(eager.empty());
+              }),
+              0u);
+}
+
 TEST(Diag, WarnDedupsPerCallSite)
 {
     diag::resetWarnings();
@@ -504,6 +625,40 @@ TEST(Validate, CleanValidatorIsSilent)
         .require(true, "holds");
     EXPECT_TRUE(v.ok());
     EXPECT_NO_THROW(v.done());
+}
+
+TEST(Validate, SubjectRendersOnFailureAsTheConcatenationDid)
+{
+    const auto failure = [](const Validator &v) {
+        try {
+            v.done();
+        } catch (const FatalError &e) {
+            return std::pair{e.message(), e.context()};
+        }
+        ADD_FAILURE() << "done() must throw";
+        return std::pair{std::string{}, std::vector<std::string>{}};
+    };
+    const std::string name = "x264";
+    Validator named{"Workload", name};
+    named.positive("cpiCore", -1.0);
+    EXPECT_EQ(failure(named),
+              std::pair(std::string{"invalid Workload x264: cpiCore = -1 "
+                                    "must be finite and > 0"},
+                        std::vector<std::string>{"validate Workload x264"}));
+
+    // An empty name keeps its separator, as "Workload " + name did.
+    const std::string empty;
+    Validator unnamed{"Workload", empty};
+    unnamed.require(false, "broken");
+    EXPECT_EQ(failure(unnamed),
+              std::pair(std::string{"invalid Workload : broken"},
+                        std::vector<std::string>{"validate Workload "}));
+
+    Validator widget{"Widget"};
+    widget.require(false, "broken");
+    EXPECT_EQ(failure(widget),
+              std::pair(std::string{"invalid Widget: broken"},
+                        std::vector<std::string>{"validate Widget"}));
 }
 
 TEST(Validate, CheckedModelTempGuardsTheWindow)
@@ -868,6 +1023,20 @@ TEST(Json, WriterBytesAreStable)
     EXPECT_EQ(scalar.str(), "1.5\n");
 }
 
+TEST(Json, TakeMatchesTheCompactStream)
+{
+    // A writer with no stream hands over the bytes a compact stream
+    // writer writes for the same calls, without the newline the
+    // stream writer's destructor adds.
+    JsonWriter w;
+    writeSampleDocument(w);
+    EXPECT_EQ(w.take(), kSampleCompact);
+
+    JsonWriter scalar;
+    scalar.value(1.5);
+    EXPECT_EQ(scalar.take(), "1.5");
+}
+
 TEST(Json, UnfinishedDocumentReachesTheStream)
 {
     // A writer unwound by an exception mid-document still hands over
@@ -905,6 +1074,17 @@ TEST(Json, MisuseIsFatal)
     // too.
     EXPECT_THROW(w.value(1.0), FatalError);
     EXPECT_THROW(w.raw("1"), FatalError);
+
+    // take() hands over a finished document, from a writer with no
+    // stream only.
+    JsonWriter open;
+    EXPECT_THROW(open.take(), FatalError);
+    open.beginObject();
+    EXPECT_THROW(open.take(), FatalError);
+    std::ostringstream streamed;
+    JsonWriter finished{streamed, 0};
+    finished.value(1);
+    EXPECT_THROW(finished.take(), FatalError);
 }
 
 TEST(JsonParse, ScalarsAndNesting)

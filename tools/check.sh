@@ -17,9 +17,11 @@
 #                            gate their timings against the committed
 #                            BENCH_micro_*.json baselines
 #   tools/check.sh --dse     fast DSE path: build only the sweep
-#                            driver + its unit tests and run test_dse
+#                            driver + its unit tests, run test_dse
 #                            (cache-hit, shard-merge byte-identity and
-#                            Pareto assertions), ~seconds not minutes
+#                            Pareto assertions), then CI's 10k-grid
+#                            identity gate (tools/dse_identity.sh),
+#                            ~seconds not minutes
 #   tools/check.sh --serve   serving-layer path: build the daemon,
 #                            load generator, and test_svc; run the
 #                            unit/differential/live-session suite,
@@ -70,9 +72,10 @@ case "$MODE" in
         BUILD_DIR="$ROOT/build-check-bench"
         ;;
     --dse)
-        # DSE fast path: the sweep driver and its unit tests - enough
-        # to validate a DesignPoint/sweep-engine change without the
-        # full -Werror tree + experiment gate.
+        # DSE fast path: the sweep driver, its unit tests and the
+        # 10k-grid identity gate CI's dse job runs - enough to
+        # validate a DesignPoint/sweep-engine change without the full
+        # -Werror tree + experiment gate.
         echo "==> configure (${CMAKE_ARGS[*]})"
         cmake -S "$ROOT" -B "$BUILD_DIR" "${CMAKE_ARGS[@]}" >/dev/null
         echo "==> build cryowire_sweep + test_dse"
@@ -81,6 +84,7 @@ case "$MODE" in
             -- --no-print-directory
         echo "==> test_dse"
         "$BUILD_DIR/tests/test_dse"
+        "$ROOT/tools/dse_identity.sh" "$BUILD_DIR"
         echo "==> all checks passed"
         exit 0
         ;;
